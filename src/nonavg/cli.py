@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 
 from . import asymptotics, closedform, greedy, theorems
 from .errors import BudgetExhausted, InvalidTuple, UnsupportedM
@@ -21,6 +22,8 @@ from .tuples import CoefficientTuple
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
+# Python converts ints of at most this many digits to and from text by default.
+MAX_N_DIGITS = 4300
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--m", type=int, default=None)
     ver.add_argument("--rows", default=None, help="semicolon-separated coefficient lists")
     ver.add_argument("--tuple", dest="tuple_text", default=None)
-    ver.add_argument("--n", type=float, default=65536)
+    ver.add_argument("--n", type=str, default="65536")
     ver.add_argument("--max-frontier", type=int, default=80000)
     ver.add_argument("--node-budget", type=int, default=None)
 
@@ -76,9 +79,20 @@ def _node_budget(args) -> int | None:
 
 
 def _parse_n(text: str) -> int:
-    value = float(text)
-    if value != int(value):
+    """An exact integer: plain digits, or a form like 1e10 or 2.5e3 whose
+    value is an integer of at most MAX_N_DIGITS digits."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"n must be an integer, got {text!r}") from None
+    if not value.is_finite() or value != value.to_integral_value():
         raise ValueError(f"n must be an integer, got {text!r}")
+    if value.adjusted() >= MAX_N_DIGITS:
+        raise ValueError(f"n must have at most {MAX_N_DIGITS} digits, got {text!r}")
     return int(value)
 
 
@@ -114,40 +128,54 @@ def _run_generate(args, out) -> int:
         return EXIT_OK
     budget = _node_budget(args)
 
-    seq = None
-    if args.cache and os.path.exists(args.cache):
-        try:
-            cached = greedy.read_cache(args.cache)
-        except (ValueError, KeyError, OSError):
-            cached = None
-        if (
-            cached is not None
-            and cached.coefficients == coefficients
-            and cached.rule == rule
-        ):
-            seq = cached
-
+    cached = _read_cache(args.cache, coefficients, rule) if args.cache else None
     try:
-        if seq is None:
+        if cached is None:
             seq = greedy.generate(
                 coefficients, rule, max_terms=args.max_terms, max_value=args.max_value, node_budget=budget
             )
         else:
             seq = greedy.extend(
-                seq, max_terms=args.max_terms, max_value=args.max_value, node_budget=budget
+                cached, max_terms=args.max_terms, max_value=args.max_value, node_budget=budget
             )
     except BudgetExhausted as exc:
         if exc.partial is not None:
             if args.cache:
-                greedy.write_cache(args.cache, exc.partial)
+                _write_cache(args.cache, cached, exc.partial)
             _emit_terms(exc.partial, args, out)
         print(f"generate: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 
     if args.cache:
-        greedy.write_cache(args.cache, seq)
+        _write_cache(args.cache, cached, seq)
     _emit_terms(seq, args, out)
     return EXIT_OK
+
+
+def _read_cache(path, coefficients, rule):
+    """The cached sequence for (coefficients, rule), or None, with one stderr
+    line when a cache file exists but cannot be used."""
+    if not os.path.exists(path):
+        return None
+    try:
+        cached = greedy.read_cache(path)
+    except (ValueError, OSError) as exc:
+        print(f"generate: ignoring cache {path}: {exc}", file=sys.stderr)
+        return None
+    if (cached.coefficients, cached.rule) != (coefficients, rule):
+        print(
+            f"generate: ignoring cache {path}: it holds tuple {cached.coefficients.text()} "
+            f"rule {cached.rule.value}",
+            file=sys.stderr,
+        )
+        return None
+    return cached
+
+
+def _write_cache(path, cached, seq):
+    """Store seq unless the cache already reaches as far: a cache never shrinks."""
+    if cached is None or seq.frontier > cached.frontier:
+        greedy.write_cache(path, seq)
 
 
 def _run_discover(args, out) -> int:
@@ -234,7 +262,7 @@ def _run_verify(args, out) -> int:
                 print("verify props: need --tuple", file=sys.stderr)
                 return EXIT_USAGE
             coefficients = CoefficientTuple.from_text(args.tuple_text)
-            limit = _parse_n(str(args.n))
+            limit = _parse_n(args.n)
             ok = all(
                 closedform.popcount_residue_pair(coefficients, n)[0]
                 == closedform.popcount_residue_pair(coefficients, n)[1]
@@ -292,7 +320,7 @@ def main(argv=None) -> int:
             return _run_verify(args, out)
         if args.command == "bounds":
             return _run_bounds(args, out)
-    except (InvalidTuple, UnsupportedM, ValueError) as exc:
+    except (InvalidTuple, UnsupportedM, ValueError, OverflowError) as exc:
         print(f"nonavg: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

@@ -10,13 +10,20 @@ class BudgetExhausted(RuntimeError):
 
     Hitting the budget is never silently treated as "no solution"; callers
     decide whether to retry with a larger cap.  ``partial`` may carry partial
-    results (the greedy engine attaches the terms accepted so far).
+    results (the greedy engine attaches the terms accepted so far) and
+    ``candidate`` the least value not yet decided.
     """
 
-    def __init__(self, nodes: int, partial=None):
-        super().__init__(f"search budget exhausted after {nodes} nodes")
+    def __init__(self, nodes: int, partial=None, candidate=None):
+        message = f"search budget exhausted after {nodes} nodes"
+        if candidate is not None:
+            message += f" at candidate {candidate}"
+        if partial is not None:
+            message += f" with {len(partial.terms)} terms"
+        super().__init__(message)
         self.nodes = nodes
         self.partial = partial
+        self.candidate = candidate
 
 
 class Overflow(OverflowError):

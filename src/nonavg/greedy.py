@@ -1,22 +1,30 @@
 """Greedy generation of the avoidance sequences, resumable, with a naive oracle.
 
 The greedy rule: start at 0 and repeatedly append the least integer that
-creates no forbidden solution among the chosen terms.  ``generate`` drives
-the exact solver candidate by candidate; ``naive_generate`` is a separate,
-deliberately unoptimized implementation used as an independent oracle in
-tests and must never share search code with the solver module.
+creates no forbidden solution among the chosen terms.  ``generate`` and
+``extend`` run a forbidden-value sieve (``Sieve``); ``naive_generate`` is a
+separate, deliberately unoptimized implementation used as an independent
+oracle in tests and must never share search code with the solver module.
 """
 
 from __future__ import annotations
 
+import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lt
 
 from .errors import BudgetExhausted
-from .solver import AvoidanceRule, _blocking_witness, _Budget
+from .solver import AvoidanceRule, _blocking_witness, _Budget, _iter_assignments
 from .tuples import CoefficientTuple
 
 CACHE_RULE_TEXT = {AvoidanceRule.DISTINCT: "distinct", AvoidanceRule.NOT_ALL_EQUAL: "notallequal"}
+
+# The sieve's window of candidates starts this wide and doubles at each
+# refill, up to WINDOW_MAX bytes of forbidden-value flags.
+WINDOW_START = 64
+WINDOW_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -29,56 +37,156 @@ class GreedySequence:
     frontier: int
 
 
-def _scan(coefficients, rule, terms, terms_set, start, max_terms, max_value, node_budget):
-    """Examine candidates start, start+1, ... appending accepted ones.
+def _open_roles(coeffs, distinct):
+    """(sigma, rest) for each way a new value n can sit in a solution.
 
-    Returns the highest examined value (start-1 when nothing was examined).
-    On budget exhaustion the partial state is attached to the exception.
+    Every term is below n, so n is never the averaged value: it fills a set
+    of left-hand slots of weight sigma (one slot under the distinct rule, a
+    nonempty proper subset under the not-all-equal rule) and terms fill the
+    ``rest`` slots, coefficients nonincreasing.
     """
-    n = start
-    frontier = start - 1
-    while True:
-        if max_terms is not None and len(terms) >= max_terms:
-            break
-        if max_value is not None and n > max_value:
-            frontier = max_value
-            break
-        budget = _Budget(node_budget)
+    k = len(coeffs)
+    roles = set()
+    for mask in range(1, (1 << k) - 1):
+        taken = [coeffs[i] for i in range(k) if mask >> i & 1]
+        if distinct and len(taken) > 1:
+            continue
+        rest = tuple(sorted((coeffs[i] for i in range(k) if not mask >> i & 1), reverse=True))
+        roles.add((sum(taken), rest))
+    return sorted(roles)
+
+
+class Sieve:
+    """Greedy scan state: the terms so far and, for a window of candidates
+    above the frontier, which ones a solution among the terms forbids.
+
+    A candidate n is forbidden when sigma*n = d*x_m - (sum of rest slots)
+    for some role (sigma, rest) and terms x_m and rest values (pairwise
+    distinct under the distinct rule).  A refill enumerates every such
+    solution whose n lands in the new window; accepting a term t adds only
+    the solutions that use t.  A node is one enumeration step (a value tried
+    in a slot, or one value of a last-slot range); the node budget applies
+    to each refill and to each accepted-term update.
+    """
+
+    def __init__(self, seq: GreedySequence):
+        self.coefficients = seq.coefficients
+        self.rule = seq.rule
+        self.terms = list(seq.terms)
+        self.terms_set = set(self.terms)
+        self.frontier = seq.frontier
+        self.distinct = seq.rule is AvoidanceRule.DISTINCT
+        d = seq.coefficients.weight
+        roles = _open_roles(seq.coefficients.coeffs, self.distinct)
+        # Slots after sigma: the averaged value first, with coefficient -d.
+        self.roles = [(sigma, (-d,) + rest) for sigma, rest in roles]
+        # Solutions that use a new term t in a left-hand slot of coefficient c:
+        # (sigma, c, the other slots).
+        self.uses = sorted({
+            (sigma, c, (-d,) + rest[:i] + rest[i + 1:]) for sigma, rest in roles for i, c in enumerate(rest)
+        })
+        self.lo = self.hi = seq.frontier + 1  # empty window: the first step refills
+        self.width = WINDOW_START
+        self.blocked = bytearray()
+
+    def sequence(self) -> GreedySequence:
+        return GreedySequence(self.coefficients, self.rule, tuple(self.terms), self.frontier)
+
+    def advance(self, max_terms=None, max_value=None, node_budget=None) -> GreedySequence:
+        """Scan on until max_terms terms or frontier max_value, whichever comes first."""
+        terms = self.terms
         try:
-            witness = _blocking_witness(terms, terms_set, n, coefficients, rule, budget)
+            while max_terms is None or len(terms) < max_terms:
+                if max_value is not None and self.frontier >= max_value:
+                    break
+                if self.frontier + 1 >= self.hi:
+                    self._refill(max_value, _Budget(node_budget))
+                end = self.hi if max_value is None else min(self.hi, max_value + 1)
+                pos = self.blocked.find(0, self.frontier + 1 - self.lo, end - self.lo)
+                if pos < 0:
+                    self.frontier = end - 1
+                    continue
+                n = self.lo + pos
+                terms.append(n)
+                self.terms_set.add(n)
+                self.frontier = n
+                self._add_uses(n, _Budget(node_budget))
         except BudgetExhausted as exc:
-            exc.partial = GreedySequence(coefficients, rule, tuple(terms), n - 1)
-            raise
-        if witness is None:
-            terms.append(n)
-            terms_set.add(n)
-        frontier = n
-        n += 1
-    return frontier
+            self.hi = self.frontier + 1  # the window may be half marked: refill on resuming
+            raise BudgetExhausted(exc.nodes, self.sequence(), self.frontier + 1) from None
+        return self.sequence()
+
+    def _refill(self, max_value, budget):
+        lo = self.frontier + 1
+        hi = lo + self.width
+        if max_value is not None and hi > max_value + 1:
+            hi = max_value + 1
+        self.width = min(2 * self.width, WINDOW_MAX)
+        self.lo, self.hi = lo, hi
+        self.blocked = bytearray(hi - lo)
+        for sigma, slots in self.roles:
+            self._mark(sigma, slots, 0, set(), budget)
+
+    def _add_uses(self, t, budget):
+        d = self.coefficients.weight
+        for sigma, slots in self.roles:  # t as the averaged value
+            self._mark(sigma, slots[1:], -d * t, {t}, budget)
+        for sigma, c, slots in self.uses:  # t in a left-hand slot
+            self._mark(sigma, slots, c * t, {t}, budget)
+
+    def _mark(self, sigma, slots, base, used, budget):
+        """Flag every n above the frontier in the window with
+        sigma*n + base + (sum over slots of coefficient times term) = 0."""
+        lo = self.lo
+        c = slots[-1]
+        blocked = self.blocked
+        for acc, _, last in _iter_assignments(
+            slots, -sigma * (self.hi - 1) - base, -sigma * (self.frontier + 1) - base,
+            self.terms, self.terms_set, used, self.distinct, budget,
+        ):
+            top = -base - acc - sigma * lo  # sigma*(n - lo) for a last value of 0
+            if sigma == 1:
+                for v in last:
+                    blocked[top - c * v] = 1
+            else:
+                for v in last:
+                    i, r = divmod(top - c * v, sigma)
+                    if not r:
+                        blocked[i] = 1
+
+
+def _prefix_within(seq: GreedySequence, max_terms, max_value):
+    """What generate(max_terms, max_value) returns, when seq already covers it; else None."""
+    terms = seq.terms
+    if max_value is not None:
+        terms = terms[:bisect_right(terms, max_value)]
+    if max_terms is not None and len(terms) >= max_terms:
+        terms = terms[:max_terms]
+        return GreedySequence(seq.coefficients, seq.rule, terms, terms[-1])
+    if max_value is not None and max_value <= seq.frontier:
+        return GreedySequence(seq.coefficients, seq.rule, terms, max_value)
+    return None
+
+
+def _continue(seq: GreedySequence, max_terms, max_value, node_budget) -> GreedySequence:
+    if max_terms is None and max_value is None:
+        raise ValueError("need max_terms or max_value")
+    if max_terms is not None and max_terms <= 0:
+        return GreedySequence(seq.coefficients, seq.rule, (), -1)
+    done = _prefix_within(seq, max_terms, max_value)
+    if done is not None:
+        return done
+    return Sieve(seq).advance(max_terms, max_value, node_budget)
 
 
 def generate(coefficients, rule, max_terms=None, max_value=None, node_budget=None) -> GreedySequence:
     """The unique greedy prefix with at most max_terms terms and frontier <= max_value."""
-    if max_terms is None and max_value is None:
-        raise ValueError("need max_terms or max_value")
-    if max_terms is not None and max_terms <= 0:
-        return GreedySequence(coefficients, rule, (), -1)
-    terms: list = []
-    terms_set: set = set()
-    frontier = _scan(coefficients, rule, terms, terms_set, 0, max_terms, max_value, node_budget)
-    return GreedySequence(coefficients, rule, tuple(terms), frontier)
+    return _continue(GreedySequence(coefficients, rule, (), -1), max_terms, max_value, node_budget)
 
 
 def extend(seq: GreedySequence, max_terms=None, max_value=None, node_budget=None) -> GreedySequence:
-    """Continue scanning from frontier+1; equals a fresh generate with the larger caps."""
-    if max_terms is None and max_value is None:
-        raise ValueError("need max_terms or max_value")
-    terms = list(seq.terms)
-    terms_set = set(terms)
-    frontier = _scan(
-        seq.coefficients, seq.rule, terms, terms_set, seq.frontier + 1, max_terms, max_value, node_budget
-    )
-    return GreedySequence(seq.coefficients, seq.rule, tuple(terms), max(seq.frontier, frontier))
+    """Resume from seq; equals a fresh generate with the same caps, also caps below seq's."""
+    return _continue(seq, max_terms, max_value, node_budget)
 
 
 def skip_witness(seq: GreedySequence, value: int, node_budget=None):
@@ -206,25 +314,54 @@ def naive_generate(coefficients, rule, max_value):
 
 
 def write_cache(path, seq: GreedySequence):
-    """Cache format: header line, then one decimal term per line."""
+    """Cache format: header line, then one decimal term per line.
+
+    The text goes to a temporary file beside ``path`` that is then renamed
+    over it, so a reader sees the old cache or the new one, never a part.
+    """
     header = (
         f"# tuple={seq.coefficients.text()} rule={CACHE_RULE_TEXT[seq.rule]} "
         f"frontier={seq.frontier}\n"
     )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header)
-        for t in seq.terms:
-            fh.write(f"{t}\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(header)
+            fh.writelines(f"{t}\n" for t in seq.terms)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_cache(path) -> GreedySequence:
+    """Read a cache file; ValueError when it is malformed.
+
+    The check is structural: the terms start at 0, strictly increase and end
+    at or below the frontier (an empty cache has a negative frontier).  The
+    terms are not regenerated, which would cost as much as the generation
+    the cache saves, so a well-formed cache of wrong terms is accepted.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if not header.startswith("# "):
             raise ValueError("missing cache header")
         fields = dict(part.split("=", 1) for part in header[2:].split())
-        coefficients = CoefficientTuple.from_text(fields["tuple"])
-        rule = AvoidanceRule.from_text(fields["rule"])
-        frontier = int(fields["frontier"])
+        try:
+            coefficients = CoefficientTuple.from_text(fields["tuple"])
+            rule = AvoidanceRule.from_text(fields["rule"])
+            frontier = int(fields["frontier"])
+        except KeyError as exc:
+            raise ValueError(f"cache header lacks {exc}") from None
         terms = tuple(int(line) for line in fh if line.strip())
+    if not terms:
+        if frontier >= 0:
+            raise ValueError(f"cache holds no terms up to frontier {frontier}")
+    elif terms[0] != 0:
+        raise ValueError(f"cache starts at {terms[0]}, not 0")
+    elif not all(map(lt, terms, terms[1:])):
+        raise ValueError("cache terms are not strictly increasing")
+    elif terms[-1] > frontier:
+        raise ValueError(f"cache term {terms[-1]} lies beyond its frontier {frontier}")
     return GreedySequence(coefficients, rule, terms, frontier)

@@ -79,56 +79,59 @@ def _check_values_small(values):
             raise ValueError(f"value {v} outside [0, 2^63)")
 
 
-def _iter_assignments(slots, target, pool, pool_set, used, distinct, budget):
-    """Yield value tuples for ``slots`` (coefficients, nonincreasing) summing to target.
+def _iter_assignments(slots, lo_sum, hi_sum, pool, pool_set, used, distinct, budget):
+    """Yield (acc, prefix, last) for value tuples on ``slots`` whose weighted
+    total lies in [lo_sum, hi_sum].
 
-    Values come from the sorted ``pool``.  Positions sharing a coefficient
-    receive values in strictly increasing (distinct) or nondecreasing order,
-    which removes permutation duplicates without losing solutions.  When
-    ``distinct`` is set, values must also avoid ``used`` and each other.
-    Enumeration order is ascending at every level, so the first yield is
-    canonical.
+    Each yield is a group of tuples sharing their first len(slots)-1 values,
+    ``prefix``, whose weighted sum is ``acc``; ``last`` lists (ascending,
+    never empty) the values of the last slot, so each tuple's total is
+    acc + slots[-1] * v.  A coefficient may be negative; there is at least
+    one slot.  Values come from the sorted ``pool``.  Adjacent positions
+    sharing a coefficient receive values in strictly increasing (distinct)
+    or nondecreasing order, which removes permutation duplicates without
+    losing solutions.  When ``distinct`` is set, values must also avoid
+    ``used`` and each other.  Enumeration order is ascending at every level,
+    so the first tuple is canonical.  A one-value target (lo_sum == hi_sum)
+    yields groups of one value.
     """
-    k = len(slots)
-    if k == 0:
-        if target == 0:
-            yield ()
-        return
     if not pool:
         return
+    k = len(slots)
     pmin, pmax = pool[0], pool[-1]
     sufmin = [0] * (k + 1)
     sufmax = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
-        sufmin[i] = sufmin[i + 1] + slots[i] * pmin
-        sufmax[i] = sufmax[i + 1] + slots[i] * pmax
-    out = [0] * k
+        a, b = sorted((slots[i] * pmin, slots[i] * pmax))
+        sufmin[i] = sufmin[i + 1] + a
+        sufmax[i] = sufmax[i + 1] + b
+    out = [0] * (k - 1)
 
-    def rec(i, rem, floor_v):
+    def rec(i, lo, hi, floor_v, acc):
         c = slots[i]
+        # window for v: the remaining slots must be able to absorb the rest
+        a, b = lo - sufmax[i + 1], hi - sufmin[i + 1]
+        if c < 0:
+            a, b = b, a
+        v_lo = -(-a // c)
+        v_hi = b // c
+        if floor_v > v_lo:
+            v_lo = floor_v
         if i == k - 1:
-            budget.spend()
-            v, r = divmod(rem, c)
-            if (
-                r == 0
-                and v >= floor_v
-                and v in pool_set
-                and not (distinct and v in used)
-            ):
-                out[i] = v
-                yield tuple(out)
+            if v_lo >= v_hi:  # at most one value: a set lookup
+                budget.spend()
+                if v_lo == v_hi and v_lo in pool_set and not (distinct and v_lo in used):
+                    yield acc, tuple(out), [v_lo]
+                return
+            last = pool[bisect_left(pool, v_lo):bisect_right(pool, v_hi)]
+            budget.spend(len(last) or 1)
+            if distinct:
+                last = [v for v in last if v not in used]
+            if last:
+                yield acc, tuple(out), last
             return
-        # window for v: remaining slots must be able to absorb the rest
-        lo_num = rem - sufmax[i + 1]
-        hi_num = rem - sufmin[i + 1]
-        lo = -(-lo_num // c)
-        hi = hi_num // c
-        if floor_v > lo:
-            lo = floor_v
-        a = bisect_left(pool, lo)
-        b = bisect_right(pool, hi)
         same_next = slots[i + 1] == c
-        for v in pool[a:b]:
+        for v in pool[bisect_left(pool, v_lo):bisect_right(pool, v_hi)]:
             budget.spend()
             if distinct and v in used:
                 continue
@@ -139,11 +142,11 @@ def _iter_assignments(slots, target, pool, pool_set, used, distinct, budget):
                 nf = v + 1 if distinct else v
             else:
                 nf = pmin
-            yield from rec(i + 1, rem - c * v, nf)
+            yield from rec(i + 1, lo - c * v, hi - c * v, nf, acc + c * v)
             if distinct:
                 used.discard(v)
 
-    yield from rec(0, target, pmin)
+    yield from rec(0, lo_sum, hi_sum, pmin, 0)
 
 
 def _assemble(coefficients, pairs, rhs):
@@ -197,7 +200,8 @@ def _blocking_witness(terms, terms_set, candidate, coefficients, rule, budget):
         pool_set = terms_set | {candidate}
     target = d * candidate
     used = {candidate} if distinct else None
-    for vals in _iter_assignments(slots_all, target, pool, pool_set, used, distinct, budget):
+    for _, prefix, last in _iter_assignments(slots_all, target, target, pool, pool_set, used, distinct, budget):
+        vals = prefix + (last[0],)
         if not distinct and all(v == candidate for v in vals):
             continue  # the all-equal assignment is the one trivial solution
         return _assemble(coefficients, list(zip(slots_all, vals)), candidate)
@@ -223,7 +227,8 @@ def _blocking_witness(terms, terms_set, candidate, coefficients, rule, budget):
             budget.spend()
             target = d * x_m - base
             used = {candidate, x_m} if distinct else None
-            for vals in _iter_assignments(rest, target, lhs_pool, lhs_set, used, distinct, budget):
+            for _, prefix, last in _iter_assignments(rest, target, target, lhs_pool, lhs_set, used, distinct, budget):
+                vals = prefix + (last[0],)
                 pairs = list(zip(rest, vals))
                 pairs.append((u, candidate))
                 return _assemble(coefficients, pairs, x_m)
@@ -278,7 +283,8 @@ def find_representation(alpha, pool, coefficients, relaxed=False, node_budget=No
         budget.spend()
         target = d * x_m - base
         used = {alpha, x_m}
-        for vals in _iter_assignments(rest, target, pool_sorted, pool_set, used, True, budget):
+        for _, prefix, last in _iter_assignments(rest, target, target, pool_sorted, pool_set, used, True, budget):
+            vals = prefix + (last[0],)
             by = defaultdict(list)
             for c, v in zip(rest, vals):
                 by[c].append(v)

@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 from .closedform import ClosedForm
 from .errors import InvalidTuple, UnsupportedM
-from .greedy import extend, generate
+from .greedy import GreedySequence, Sieve, generate
 from .solver import AvoidanceRule, _Budget, relaxed_representation
 from .tuples import CoefficientTuple, is_valid
 
@@ -245,21 +245,21 @@ def discover_closed_form(
     """Scan greedy prefixes for the least scale passing both conditions.
 
     Residue sets are the prefixes {a_0..a_z} with candidate scale a_{z+1};
-    z runs upward so the first hit has minimal scale.  Returns
+    z runs upward so the first hit has minimal scale.  One greedy sieve
+    serves every z.  Returns
     (ClosedForm, ConditionReport) or None when the caps are reached.
     """
     if not is_valid(coefficients):
         raise InvalidTuple(f"{coefficients!r} is not valid")
-    seq = generate(
-        coefficients, AvoidanceRule.DISTINCT, max_terms=2, max_value=max_frontier, node_budget=node_budget
-    )
+    sieve = Sieve(GreedySequence(coefficients, AvoidanceRule.DISTINCT, (), -1))
+    terms = ()
     for z in range(max_residues):
-        if len(seq.terms) < z + 2:
-            seq = extend(seq, max_terms=z + 2, max_value=max_frontier, node_budget=node_budget)
-            if len(seq.terms) < z + 2:
+        if len(terms) < z + 2:
+            terms = sieve.advance(max_terms=z + 2, max_value=max_frontier, node_budget=node_budget).terms
+            if len(terms) < z + 2:
                 return None  # frontier cap reached before enough terms appeared
-        rs = seq.terms[: z + 1]
-        scale = seq.terms[z + 1]
+        rs = terms[: z + 1]
+        scale = terms[z + 1]
         if not check_scale_identity(coefficients, rs, scale).passed:
             continue
         report = check_residue_completeness(coefficients, rs, scale, node_budget=node_budget)

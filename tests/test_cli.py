@@ -85,9 +85,36 @@ class TestGenerate:
     def test_cache_mismatch_regenerates(self, capsys, tmp_path):
         cache = str(tmp_path / "seq.cache")
         run(capsys, "generate", "--tuple", "1,1", "--max-terms", "6", "--cache", cache)
-        code, out, _ = run(capsys, "generate", "--tuple", "1,1,1", "--max-terms", "6", "--cache", cache)
+        code, out, err = run(capsys, "generate", "--tuple", "1,1,1", "--max-terms", "6", "--cache", cache)
         assert code == 0
         assert [int(v) for v in out.split()] == [0, 1, 2, 3, 4, 12]
+        assert err == f"generate: ignoring cache {cache}: it holds tuple 1,1 rule distinct\n"
+
+    def test_short_read_of_a_longer_cache(self, capsys, tmp_path):
+        cache = tmp_path / "s3.cache"
+        run(capsys, "generate", "--tuple", "1,1", "--max-terms", "40", "--cache", str(cache))
+        written = cache.read_text()
+        code, out, err = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "5", "--cache", str(cache))
+        assert code == 0 and err == ""
+        assert [int(v) for v in out.split()] == S3_17[:5]
+        assert cache.read_text() == written  # the cache never shrinks
+
+    def test_malformed_cache_is_reported_and_replaced(self, capsys, tmp_path):
+        cache = tmp_path / "s3.cache"
+        cache.write_text("# tuple=1,1 rule=distinct frontier=10\n0\n5\n2\n")
+        code, out, err = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "6", "--cache", str(cache))
+        assert code == 0
+        assert [int(v) for v in out.split()] == S3_17[:6]
+        assert err == f"generate: ignoring cache {cache}: cache terms are not strictly increasing\n"
+        assert cache.read_text() == "# tuple=1,1 rule=distinct frontier=10\n0\n1\n3\n4\n9\n10\n"
+
+    def test_well_formed_wrong_cache_is_trusted(self, capsys, tmp_path):
+        """Only the structure is checked on load, not the terms themselves."""
+        cache = tmp_path / "bad.cache"
+        cache.write_text("# tuple=1,1 rule=distinct frontier=10\n0\n2\n5\n")
+        code, out, _ = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "6", "--cache", str(cache))
+        assert code == 0
+        assert [int(v) for v in out.split()] == [0, 2, 5, 11, 12, 14]
 
 
 class TestDiscover:
@@ -139,6 +166,14 @@ class TestVerify:
         assert "PASS popcount residue law n<4096" in out
         assert "PASS bit-parity sequence law n<4096" in out
 
+    def test_props_scientific_n(self, capsys):
+        code, out, _ = run(capsys, "verify", "props", "--tuple", "1,1", "--n", "1.024e3")
+        assert code == 0 and "PASS popcount residue law n<1024" in out
+
+    def test_props_fractional_n(self, capsys):
+        code, out, err = run(capsys, "verify", "props", "--tuple", "1,1", "--n", "1024.5")
+        assert code == 1 and out == "" and "integer" in err
+
 
 class TestBounds:
     def test_tuple_report(self, capsys):
@@ -160,6 +195,25 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["n"] == 10 ** 10
         assert payload["matches"]["f"] == ["base5"]
+
+    def test_n_is_parsed_exactly(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--tuple", "1,1", "--n", "12345678901234567891")
+        assert code == 0
+        assert json.loads(out)["n"] == 12345678901234567891
+
+    def test_exact_scientific_n(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--tuple", "1,1", "--n", "8.1e1")
+        assert code == 0 and json.loads(out)["exact"] == 16
+
+    @pytest.mark.parametrize("text", ["1e-3", "81.5", "2.5e0", "nan", "inf", "1e5000", "eighty"])
+    def test_non_integer_n_is_a_usage_error(self, capsys, text):
+        code, out, err = run(capsys, "bounds", "--tuple", "1,1", "--n", text)
+        assert code == 1 and out == "" and err.startswith("nonavg: n must")
+
+    def test_n_too_large_for_the_bounds_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "--tuple", "1,1", "--n", "1e400")
+        assert code == 1 and out == ""
+        assert err == "nonavg: int too large to convert to float\n"
 
     def test_missing_subject(self, capsys):
         code, _, err = run(capsys, "bounds", "--n", "10")

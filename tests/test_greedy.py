@@ -1,11 +1,13 @@
 """Greedy generation vs the naive oracle, resumability, and cache files."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonavg import (
     AvoidanceRule,
     BudgetExhausted,
     CoefficientTuple,
+    catalog_closed_form,
     creates_solution,
     extend,
     generate,
@@ -13,9 +15,11 @@ from nonavg import (
     read_cache,
     skip_witness,
     verify_solution_free,
+    witness_satisfies,
     write_cache,
     zero_one_contains,
 )
+from nonavg.greedy import GreedySequence, Sieve
 
 D = AvoidanceRule.DISTINCT
 N = AvoidanceRule.NOT_ALL_EQUAL
@@ -47,10 +51,16 @@ class TestGenerate:
             generate(CoefficientTuple((1, 1)), D)
 
     def test_budget_exhaustion_carries_partial(self):
-        with pytest.raises(BudgetExhausted) as info:
-            generate(CoefficientTuple((1, 1)), D, max_terms=17, node_budget=3)
-        assert info.value.partial is not None
-        assert info.value.partial.terms[0] == 0
+        e = CoefficientTuple((1, 1))
+        for rule in (D, N):
+            with pytest.raises(BudgetExhausted) as info:
+                generate(e, rule, max_terms=17, node_budget=3)
+            partial = info.value.partial
+            assert partial is not None
+            assert partial.terms[0] == 0
+            assert partial == generate(e, rule, max_value=partial.frontier)
+            assert info.value.candidate == partial.frontier + 1
+            assert f"at candidate {partial.frontier + 1} with {len(partial.terms)} terms" in str(info.value)
 
 
 class TestExtend:
@@ -80,6 +90,14 @@ class TestExtend:
         a = generate(e, D, max_value=40)
         b = extend(a, max_value=81)
         assert b == generate(e, D, max_value=81)
+
+    def test_caps_below_the_prefix(self):
+        e = CoefficientTuple((1, 1))
+        long = generate(e, D, max_terms=40)
+        assert extend(long, max_terms=5) == generate(e, D, max_terms=5)
+        assert extend(long, max_value=20) == generate(e, D, max_value=20)
+        assert extend(long, max_terms=30, max_value=50) == generate(e, D, max_terms=30, max_value=50)
+        assert extend(long, max_terms=0) == generate(e, D, max_terms=0)
 
 
 class TestNaive:
@@ -112,13 +130,82 @@ def test_oracle_equivalence_distinct(coeffs):
     assert list(fast.terms) == naive_generate(e, D, 300)
 
 
-@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 2), (1, 1, 1, 1)])
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 2), (1, 1, 1, 1), (1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 3), (1, 1, 2, 4)])
 def test_oracle_equivalence_not_all_equal(coeffs):
     e = CoefficientTuple(coeffs)
     fast = generate(e, N, max_value=250)
     assert list(fast.terms) == naive_generate(e, N, 250)
     # the not-all-equal sequences are exactly the zero-one digit sets
     assert all(zero_one_contains(e, t) for t in fast.terms)
+
+
+@st.composite
+def valid_tuples(draw, max_len=5):
+    """Valid tuples: d_1 = 1 and each entry at most the sum of the ones before."""
+    coeffs = [1]
+    for _ in range(draw(st.integers(min_value=1, max_value=max_len - 1))):
+        coeffs.append(draw(st.integers(min_value=coeffs[-1], max_value=sum(coeffs))))
+    return CoefficientTuple(coeffs)
+
+
+RULES = st.sampled_from([D, N])
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_tuples(), RULES, st.integers(min_value=0, max_value=70))
+def test_sieve_matches_oracles(e, rule, max_value):
+    """The sieve equals the naive oracle and a per-candidate witness search:
+    every skipped value has a valid witness and no term has one."""
+    seq = generate(e, rule, max_value=max_value)
+    assert list(seq.terms) == naive_generate(e, rule, max_value)
+    assert seq.frontier == max_value
+    terms = set(seq.terms)
+    for value in range(max_value + 1):
+        ground = [t for t in seq.terms if t < value]
+        if value in terms:
+            assert creates_solution(ground, value, e, rule) is None
+        else:
+            witness = skip_witness(seq, value)
+            assert witness is not None and value in witness.values
+            assert witness_satisfies(witness.values, e, rule)
+            assert set(witness.values) <= set(ground) | {value}
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_tuples(), RULES, st.integers(min_value=1, max_value=14), st.data())
+def test_extend_from_any_split_equals_generate(e, rule, max_terms, data):
+    """Resuming from any prefix, with any caps, gives the fresh result."""
+    full = generate(e, rule, max_terms=max_terms)
+    split = data.draw(st.integers(min_value=0, max_value=full.frontier), label="split")
+    prefix = generate(e, rule, max_value=split)
+    assert extend(prefix, max_terms=max_terms) == full
+    caps = data.draw(st.tuples(st.none() | st.integers(1, 16), st.none() | st.integers(0, full.frontier)),
+                     label="caps")
+    if caps != (None, None):
+        assert extend(full, *caps) == generate(e, rule, *caps)
+
+
+@pytest.mark.parametrize("rule", [D, N])
+def test_one_sieve_advanced_in_steps(rule):
+    """A sieve kept across calls with growing caps, as discovery keeps it,
+    matches fresh generation, also when a value cap falls inside the window
+    of an earlier call."""
+    e = CoefficientTuple((1, 1, 2))
+    sieve = Sieve(GreedySequence(e, rule, (), -1))
+    for caps in [(3, None), (None, 20), (None, 90), (17, None), (20, None)]:
+        assert sieve.advance(*caps) == generate(e, rule, *caps)
+
+
+def test_pair_tuple_across_the_1024_gap():
+    """(1,1) to 1,100 terms: the n-th term is n's binary digits read in base 3."""
+    seq = generate(CoefficientTuple((1, 1)), D, max_terms=1100)
+    assert seq.terms == tuple(int(f"{n:b}", 3) for n in range(1100))
+
+
+def test_triple_tuple_200_terms_match_closed_form():
+    e = CoefficientTuple((1, 1, 1))
+    cf = catalog_closed_form(e)
+    assert generate(e, D, max_terms=200).terms == tuple(cf.nth(k) for k in range(200))
 
 
 def test_greedy_minimality_spot_check():
@@ -159,6 +246,33 @@ class TestCache:
         assert text.startswith("# tuple=1,1 rule=distinct frontier=27\n")
         assert text.endswith("27\n")
         assert read_cache(path) == seq
+
+    def test_write_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "seq.cache"
+        write_cache(path, generate(CoefficientTuple((1, 1)), D, max_terms=9))
+        write_cache(path, generate(CoefficientTuple((1, 1)), D, max_terms=12))
+        assert [p.name for p in tmp_path.iterdir()] == ["seq.cache"]
+        assert len(read_cache(path).terms) == 12
+
+    @pytest.mark.parametrize("body,reason", [
+        ("frontier=10\n0\n5\n2\n", "not strictly increasing"),
+        ("frontier=10\n0\n2\n2\n", "not strictly increasing"),
+        ("frontier=10\n1\n2\n", "starts at 1"),
+        ("frontier=4\n0\n1\n3\n9\n", "beyond its frontier"),
+        ("frontier=3\n", "no terms"),
+        ("frontier=3\n0\n1\nx\n", "invalid literal"),
+    ])
+    def test_malformed_cache_is_rejected(self, tmp_path, body, reason):
+        path = tmp_path / "bad.cache"
+        path.write_text("# tuple=1,1 rule=distinct " + body)
+        with pytest.raises(ValueError, match=reason):
+            read_cache(path)
+
+    def test_missing_header_field_is_rejected(self, tmp_path):
+        path = tmp_path / "bad.cache"
+        path.write_text("# tuple=1,1 frontier=3\n0\n1\n3\n")
+        with pytest.raises(ValueError, match="lacks 'rule'"):
+            read_cache(path)
 
     def test_resume_from_cache(self, tmp_path):
         path = tmp_path / "seq.cache"
