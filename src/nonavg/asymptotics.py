@@ -17,8 +17,6 @@ from .closedform import ClosedForm, count_zero_one_below, zero_one_nth
 from .errors import DomainError, Overflow
 from .tuples import CoefficientTuple
 
-EXACT_COUNT_CAP = 10 ** 12
-
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -52,10 +50,9 @@ def zero_one_count_bounds(coefficients: CoefficientTuple, n: int) -> BoundsRepor
     base = coefficients.base
     theta = count_exponent(base)
     power = float(n) ** theta
-    exact = count_zero_one_below(coefficients, n) if n <= EXACT_COUNT_CAP else None
     return BoundsReport(
         n=n,
-        exact=exact,
+        exact=count_zero_one_below(coefficients, n),
         lower=0.5 * power,
         upper=2.0 * power,
         theta=theta,

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidTuple, Overflow
-from .tuples import CoefficientTuple, is_valid
-
-VALUE_LIMIT = 1 << 63
+from .tuples import VALUE_LIMIT, CoefficientTuple, is_valid
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,14 @@ class BudgetExhausted(RuntimeError):
     Hitting the budget is never silently treated as "no solution"; callers
     decide whether to retry with a larger cap.  ``partial`` may carry partial
     results (the greedy engine attaches the terms accepted so far) and
-    ``candidate`` the least value not yet decided.
+    ``candidate`` the least value not yet decided; ``where`` names the
+    search and the point it stopped at, for searches without a candidate.
     """
 
-    def __init__(self, nodes: int, partial=None, candidate=None):
+    def __init__(self, nodes: int, partial=None, candidate=None, where=None):
         message = f"search budget exhausted after {nodes} nodes"
+        if where is not None:
+            message += f" in {where}"
         if candidate is not None:
             message += f" at candidate {candidate}"
         if partial is not None:
@@ -24,6 +27,7 @@ class BudgetExhausted(RuntimeError):
         self.nodes = nodes
         self.partial = partial
         self.candidate = candidate
+        self.where = where
 
 
 class Overflow(OverflowError):

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .errors import BudgetExhausted
 from .tuples import VALUE_LIMIT, CoefficientTuple
@@ -415,7 +415,7 @@ def verify_solution_free(values, coefficients, rule, node_budget=None):
                     return None
             return _assemble(coefficients, pairs, q)
         coeff, count = groups[gi]
-        chooser = combinations(vals, count) if distinct else _combos_with_repeat(vals, count)
+        chooser = combinations(vals, count) if distinct else combinations_with_replacement(vals, count)
         for chosen in chooser:
             budget.spend()
             if distinct and any(v in used for v in chosen):
@@ -431,9 +431,3 @@ def verify_solution_free(values, coefficients, rule, node_budget=None):
         return None
 
     return rec(0, frozenset(), [], 0)
-
-
-def _combos_with_repeat(vals, count):
-    from itertools import combinations_with_replacement
-
-    return combinations_with_replacement(vals, count)

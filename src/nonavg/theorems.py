@@ -14,13 +14,15 @@ passes both, which reproduces the known catalog below.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+from operator import itemgetter
 
 from .closedform import ClosedForm
-from .errors import InvalidTuple, UnsupportedM
+from .errors import BudgetExhausted, InvalidTuple, UnsupportedM
 from .greedy import GreedySequence, Sieve, generate
-from .solver import AvoidanceRule, _Budget, relaxed_representation
+from .solver import DEFAULT_NODE_BUDGET, AvoidanceRule, relaxed_representation
 from .tuples import CoefficientTuple, is_valid
 
 
@@ -94,54 +96,95 @@ def check_scale_identity(coefficients, residues, scale) -> ConditionIResult:
     return ConditionIResult(lhs=scale, rhs=1 + d * max(residues) - correction)
 
 
-def _distinct_value_tuples(positions, residues):
-    """Position-ordered tuples of pairwise distinct residues, in lexicographic order."""
-    k = len(positions)
-    for values in product(residues, repeat=k):
-        if len(set(values)) == k:
-            yield values
+def _assignment_table(coeffs, residues):
+    """dict sum -> stored assignments of pairwise distinct residues to positions
+    weighted by ``coeffs``.
 
-
-class _SubsetTable:
-    """Per position-subset: achievable residue sums with representative assignments."""
-
-    def __init__(self, coeffs_by_position, residues):
-        self.coeffs_by_position = coeffs_by_position
-        self.residues = residues
-        self._cache = {}
-
-    def table(self, positions):
-        """dict sum -> list of assignments (position-ordered tuples of distinct residues).
-
-        Lists are kept small: a new assignment is stored only while it
-        shrinks the intersection of stored value sets, which preserves, for
-        every single value v, some stored assignment avoiding v whenever one
-        exists for that sum.
-        """
-        if positions in self._cache:
-            return self._cache[positions]
-        coeffs = tuple(self.coeffs_by_position[p] for p in positions)
-        out = {}
-        inter = {}
-        for values in _distinct_value_tuples(positions, self.residues):
-            s = sum(c * v for c, v in zip(coeffs, values))
-            if s not in out:
+    Assignments are met in lexicographic order, built position by position
+    from the residues not used yet.  One is stored only while it shrinks the
+    intersection of the stored value sets, so for every single value v the
+    first stored assignment avoiding v is the lexicographically first with
+    that sum avoiding v, whenever one exists.
+    """
+    if not coeffs:
+        return {0: [()]}
+    prefixes = [((), 0)]
+    for c in coeffs[:-1]:
+        prefixes = [(vals + (v,), acc + c * v) for vals, acc in prefixes for v in residues if v not in vals]
+    last = coeffs[-1]
+    out = {}
+    inter = {}
+    for vals, acc in prefixes:
+        for v in residues:
+            if v in vals:
+                continue
+            s = acc + last * v
+            values = vals + (v,)
+            kept = inter.get(s)
+            if kept is None:
                 out[s] = [values]
                 inter[s] = set(values)
-            elif inter[s]:
-                shrunk = inter[s] & set(values)
-                if shrunk != inter[s]:
+            elif kept:
+                shrunk = kept.intersection(values)
+                if len(shrunk) < len(kept):
                     out[s].append(values)
                     inter[s] = shrunk
-        self._cache[positions] = out
-        return out
+    return out
+
+
+def _slack_plans(coeffs_at, d, residues):
+    """Per slack j, the search plan of every position subset of coefficient sum j.
+
+    A plan is (subset, inside sums ascending, their stored assignments,
+    outside table, least and greatest outside sum, reorder, memo):
+    ``reorder`` puts inside-then-outside values back in position order, and
+    ``memo`` caches the first stored inside assignment avoiding a given r_m.
+    Subsets come in size-then-lexicographic order.  Tables depend only on
+    the coefficients of their positions, so equal ones are built once.
+    """
+    npos = len(coeffs_at)
+    tables = {}
+
+    def table(indices):
+        key = tuple(coeffs_at[i] for i in indices)
+        if key not in tables:
+            tables[key] = _assignment_table(key, residues)
+        return tables[key]
+
+    plans = [[] for _ in range(d - 1)]
+    for size in range(npos + 1):
+        for inside in combinations(range(npos), size):
+            j = sum(coeffs_at[i] for i in inside)
+            if j > d - 2:
+                continue
+            outside = tuple(i for i in range(npos) if i not in inside)
+            in_table, out_table = table(inside), table(outside)
+            in_sums = sorted(in_table) if out_table else []  # no witness without an outside assignment
+            order = inside + outside
+            # itemgetter of a single index returns a bare value; up to one
+            # position needs no reordering.
+            reorder = itemgetter(*(order.index(p) for p in range(npos))) if npos > 1 else tuple
+            plans[j].append((
+                tuple(i + 2 for i in inside),
+                in_sums,
+                [in_table[s] for s in in_sums],
+                out_table,
+                min(out_table, default=0),
+                max(out_table, default=0),
+                reorder,
+                {},
+            ))
+    return plans
 
 
 def check_residue_completeness(coefficients, residues, scale, node_budget=None) -> ConditionReport:
     """Search every (offset, slack) cell for a witness; record the first per cell.
 
     Witnesses are canonical: smallest averaged residue first, then subset
-    order, then stored assignment order.
+    order, then smallest inside sum, whose inside assignment is the
+    lexicographically first avoiding the averaged residue and whose outside
+    assignment is the lexicographically first with the remaining sum.  A
+    node is one (cell, averaged residue, subset) step.
     """
     if not is_valid(coefficients):
         raise InvalidTuple(f"{coefficients!r} is not valid")
@@ -149,63 +192,48 @@ def check_residue_completeness(coefficients, residues, scale, node_budget=None) 
     d = coefficients.weight
     m = coefficients.m
     rs = tuple(sorted(set(residues)))
-    budget = _Budget(node_budget)
-    positions = tuple(range(2, m))
-    coeff_of = {p: coeffs[p - 1] for p in positions}
-
-    subsets_by_slack = {j: [] for j in range(max(d - 1, 0))}
-    for size in range(len(positions) + 1):
-        for subset in combinations(positions, size):
-            j = sum(coeff_of[p] for p in subset)
-            if j <= d - 2:
-                subsets_by_slack[j].append(subset)
-
-    table = _SubsetTable(coeff_of, rs)
+    cap = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    plans = _slack_plans(coeffs[1 : m - 1], d, rs)
     cond_i = check_scale_identity(coefficients, rs, scale)
 
+    drs = [d * r for r in rs]
+    nodes = 0
     cells = []
     for r1 in range(scale):
-        for j in range(d - 1):
+        first = bisect_left(drs, r1)  # every smaller r_m leaves a negative sum
+        for j, slack_plans in enumerate(plans):
             found = None
-            for r_m in rs:
-                needed = d * r_m - r1
-                if needed < 0:
-                    continue
-                for subset in subsets_by_slack[j]:
-                    budget.spend()
-                    inside = subset
-                    outside = tuple(p for p in positions if p not in subset)
-                    in_table = table.table(inside)
-                    out_table = table.table(outside)
-                    hit = None
-                    for s_in in sorted(in_table):
-                        rest = needed - s_in
-                        if rest not in out_table:
+            for k in range(first, len(rs)):
+                r_m = rs[k]
+                needed = drs[k] - r1
+                for subset, in_sums, in_stored, out_table, lo_out, hi_out, reorder, memo in slack_plans:
+                    nodes += 1
+                    if nodes > cap:
+                        raise BudgetExhausted(
+                            nodes, where=f"residue completeness at scale {scale}, cell (r1={r1}, j={j})"
+                        )
+                    top = needed - lo_out
+                    for i in range(bisect_left(in_sums, needed - hi_out), len(in_sums)):
+                        s_in = in_sums[i]
+                        if s_in > top:
+                            break
+                        outs = out_table.get(needed - s_in)
+                        if outs is None:
                             continue
-                        in_assign = None
-                        for cand in in_table[s_in]:
-                            if r_m not in cand:
-                                in_assign = cand
-                                break
-                        if in_assign is None:
-                            continue
-                        hit = (in_assign, out_table[rest][0])
-                        break
-                    if hit is not None:
-                        in_assign, out_assign = hit
-                        values = {}
-                        for p, v in zip(inside, in_assign):
-                            values[p] = v
-                        for p, v in zip(outside, out_assign):
-                            values[p] = v
-                        ordered = tuple(values[p] for p in positions) + (r_m,)
-                        found = CellResult(r1, j, inside, ordered)
+                        in_assign = in_stored[i][0]
+                        if r_m in in_assign:
+                            key = (i, r_m)
+                            in_assign = memo.get(key, False)
+                            if in_assign is False:
+                                in_assign = memo[key] = next((a for a in in_stored[i] if r_m not in a), None)
+                        if in_assign is not None:
+                            found = CellResult(r1, j, subset, reorder(in_assign + outs[0]) + (r_m,))
+                            break
+                    if found is not None:
                         break
                 if found is not None:
                     break
-            if found is None:
-                found = CellResult(r1, j, None, None)
-            cells.append(found)
+            cells.append(found or CellResult(r1, j, None, None))
     return ConditionReport(coefficients, scale, rs, cond_i, tuple(cells))
 
 

@@ -143,6 +143,13 @@ class TestDiscover:
         payload = json.loads(out)
         assert payload["found"] is False and payload["max_frontier"] == 5
 
+    def test_budget_exhausted_in_completeness_check_names_the_cell(self, capsys):
+        code, out, err = run(capsys, "discover", "--tuple", "1,1,1", "--node-budget", "25")
+        assert code == 2 and out == ""
+        assert err == (
+            "discover: search budget exhausted after 26 nodes in residue completeness at scale 12, cell (r1=9, j=1)\n"
+        )
+
 
 class TestVerify:
     def test_table1_single_m(self, capsys):
@@ -200,6 +207,11 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", "--tuple", "1,1", "--n", "12345678901234567891")
         assert code == 0
         assert json.loads(out)["n"] == 12345678901234567891
+
+    def test_exact_count_above_10_12(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--tuple", "1,1", "--n", "12345678901234567891")
+        assert code == 0
+        assert json.loads(out)["exact"] == 1202590842880
 
     def test_exact_scientific_n(self, capsys):
         code, out, _ = run(capsys, "bounds", "--tuple", "1,1", "--n", "8.1e1")

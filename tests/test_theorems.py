@@ -1,11 +1,15 @@
 """Structure conditions, closed-form discovery, and the all-ones family."""
 
+import hashlib
 import json
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonavg import (
     AvoidanceRule,
+    BudgetExhausted,
     CoefficientTuple,
     InvalidTuple,
     KNOWN_CLOSED_FORMS,
@@ -86,6 +90,147 @@ class TestResidueCompleteness:
         assert payload["cond_ii"] == [{"r1": 0, "j": 0, "H": [], "witness": [0, 0]}]
         assert payload["overall"] is True
 
+    def test_budget_exhaustion_point_and_message(self):
+        """The budget counts one node per (cell, averaged residue, subset)
+        step and the error names where the search stopped."""
+        _, residues = uniform_family_parameters(5)
+        with pytest.raises(BudgetExhausted) as info:
+            check_residue_completeness(CoefficientTuple((1, 1, 1, 1)), residues, 122, node_budget=100)
+        assert info.value.nodes == 101
+        assert str(info.value) == (
+            "search budget exhausted after 101 nodes in residue completeness at scale 122, cell (r1=20, j=0)"
+        )
+
+
+def reference_report(coeffs, residues, scale):
+    """The completeness report from the definitions, by brute force.
+
+    Shares no code with ``nonavg.theorems``.  Cell (r1, j) takes the least
+    averaged residue r_m with d*r_m >= r1, then the first position subset H
+    (by size, then lexicographically) with coefficient sum j, then the least
+    inside sum.  The inside values are the lexicographically first pairwise
+    distinct residues on H with that sum avoiding r_m; the outside values
+    are the lexicographically first pairwise distinct residues on the other
+    positions with the remaining sum.
+    """
+    d = sum(coeffs)
+    m = len(coeffs) + 1
+    positions = tuple(range(2, m))
+    weight = dict(zip(positions, coeffs[1:]))
+    rs = sorted(set(residues))
+
+    def assignments(ps):
+        # permutations of a sorted list come in lexicographic order
+        return [(sum(weight[p] * v for p, v in zip(ps, vals)), vals) for vals in permutations(rs, len(ps))]
+
+    subsets = {j: [] for j in range(d - 1)}
+    hits = {}  # (H, r_m) -> {inside sum + outside sum: (H values, outside values)}
+    for size in range(len(positions) + 1):
+        for h in combinations(positions, size):
+            j = sum(weight[p] for p in h)
+            if j > d - 2:
+                continue
+            subsets[j].append(h)
+            first_outside = {}
+            for total, vals in assignments([p for p in positions if p not in h]):
+                first_outside.setdefault(total, vals)
+            inside = sorted(assignments(h))
+            for r_m in rs:
+                found = hits[h, r_m] = {}
+                for s_in, vals in inside:
+                    if r_m not in vals:
+                        for s_out, out_vals in first_outside.items():
+                            found.setdefault(s_in + s_out, (vals, out_vals))
+
+    cells = []
+    for r1 in range(scale):
+        for j in range(d - 1):
+            cell = {"r1": r1, "j": j, "H": None, "witness": None}
+            options = ((h, r_m) for r_m in rs if d * r_m >= r1 for h in subsets[j])
+            for h, r_m in options:
+                if d * r_m - r1 in hits[h, r_m]:
+                    vals, out_vals = hits[h, r_m][d * r_m - r1]
+                    by_position = dict(zip(h, vals))
+                    by_position.update(zip([p for p in positions if p not in h], out_vals))
+                    cell = {"r1": r1, "j": j, "H": list(h), "witness": [by_position[p] for p in positions] + [r_m]}
+                    break
+            cells.append(cell)
+    rhs = 1 + d * max(rs) - sum(weight[k] * (m - k - 1) for k in positions)
+    return {
+        "tuple": ",".join(map(str, coeffs)),
+        "c": scale,
+        "R": rs,
+        "cond_i": {"lhs": scale, "rhs": rhs, "pass": scale == rhs},
+        "cond_ii": cells,
+        "overall": scale == rhs and all(cell["witness"] is not None for cell in cells),
+    }
+
+
+@st.composite
+def valid_tuples(draw, max_len=5):
+    """Valid tuples: d_1 = 1 and each entry at most the sum of the ones before."""
+    coeffs = [1]
+    for _ in range(draw(st.integers(min_value=1, max_value=max_len - 1))):
+        coeffs.append(draw(st.integers(min_value=coeffs[-1], max_value=sum(coeffs))))
+    return tuple(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    valid_tuples(),
+    st.lists(st.integers(min_value=-3, max_value=39), min_size=1, max_size=7, unique=True),
+    st.integers(min_value=1, max_value=120),
+)
+def test_completeness_matches_brute_force_reference(coeffs, residues, scale):
+    report = check_residue_completeness(CoefficientTuple(coeffs), residues, scale)
+    assert report.to_json_dict() == reference_report(coeffs, residues, scale)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, 1, 2), (1, 1, 1, 1), (1, 1, 2, 3)])
+def test_catalog_reports_match_brute_force_reference(coeffs):
+    scale, residues = KNOWN_CLOSED_FORMS[coeffs]
+    report = check_residue_completeness(CoefficientTuple(coeffs), residues, scale)
+    assert report.to_json_dict() == reference_report(coeffs, residues, scale)
+
+
+# sha256 of json.dumps(report.to_json_dict(), sort_keys=True) for each catalog
+# row's completeness report, recorded before the check was rewritten.
+CATALOG_REPORT_DIGESTS = {
+    (1, 1, 1): "f5607c33a00d1beaee25ffbde51ae054c4bf1346025813b9f39638c55866b3ab",
+    (1, 1, 2): "d11edd8c6165120cfa32f9bcfbec43054233a0e36286564dc2a8dea75feb7fc9",
+    (1, 1, 1, 1): "bad8aca8be1363c3301584ad1b60cb77e209c262add347c7cf12feebf971a1ea",
+    (1, 1, 1, 2): "bd716afe7f65778a2cf4adeff226e70f94f01ef3f5eb259b73b041e41c1b78ed",
+    (1, 1, 2, 3): "365708360549ee5bed9d91276f9ea5cfa7cdd460004762c5d9151d2045f1d621",
+    (1, 1, 2, 4): "9c2399b34483e60ee9a6ed3c635bb4d4fc52d182df5130ec6523e5d2b541c967",
+    (1, 1, 1, 1, 1): "8046f4b716550b579d15ce41d2777348982c6e76b9a9509caf2cc031d070fe23",
+    (1, 1, 1, 1, 2): "7acad42deb7a44a4a3919faf2a235ae2c79a1d160eb95e1162ccb6f97cc2be14",
+    (1, 1, 1, 1, 3): "22d710ca8a98e94b09534a51b2459b30c0ef4ebca61e2e4fb9662e9927686a33",
+    (1, 1, 1, 1, 4): "30a217a2c0fbbf2f99f820865667bd13bf089d1618200e84c862efea529dedb1",
+    (1, 1, 1, 2, 2): "26bccbc0e4a00432f59fb7f549dc44928f237b3daae3dd990d68c63214758c71",
+    (1, 1, 1, 2, 3): "a24d37448688fe59a5f372cf25e576c05b39e86253f206368b3af8dc9a887fa2",
+    (1, 1, 1, 3, 3): "e416e422fd1763411c4349d6658999d95ebdba0110fe52a1c4f125dd514047d3",
+    (1, 1, 1, 3, 4): "cd93c12cd205ebfdbfd36eee6867e9fc41936e18ce7798ed90ae821e3c6e10ad",
+    (1, 1, 1, 3, 5): "0dfc12a2c5bd2cfc28205fd50954e9f39d3edecfab9dac129c87bdba57cae472",
+    (1, 1, 1, 3, 6): "e2bf68c9080b1c14877cd9d3d1390d074f2f7edc4da29b03a70ee20adbaaafc9",
+    (1, 1, 2, 2, 2): "bb8e4b6c2bade51b825549ce837b88f837c4a98816f76a2ee0f27ea5ebac6590",
+    (1, 1, 2, 2, 3): "274b0dd426794a23d6fd06406ef09fd6929219efcf4fcca3f4d096fa3421e720",
+    (1, 1, 2, 2, 5): "073d01c8474dbf0f9bff6d2f5a6a36419f324c0d84cc69258456d192fed024d8",
+    (1, 1, 2, 2, 6): "6f04789f92d78516fc94e45bca8b9ed268eec86cd0d58bbf5cb5e28be9b389da",
+    (1, 1, 2, 3, 3): "eaf8f1331bb4503516487410a0ad05f6cdd150772d6e3fa28203b9a42039ade6",
+    (1, 1, 2, 3, 4): "ae590eea2ad3718d527923610473bdba20c1a62582fff11a716b4cb33f7ae345",
+    (1, 1, 2, 3, 7): "0c756acdfc6436d7527625bc530db01a98c955d72bb44f859454fb4285b194e8",
+    (1, 1, 2, 4, 4): "1c2e472e771c6a7c4f34e8804a1b4c372c6d26d0d110bb7b2256a229650283de",
+    (1, 1, 2, 4, 7): "26e3579dd25bc1984a0a74d956473b19486321d4cd119c16814612e268e0d8d8",
+}
+
+
+def test_catalog_report_digests():
+    assert set(CATALOG_REPORT_DIGESTS) == set(KNOWN_CLOSED_FORMS)
+    for coeffs, (scale, residues) in KNOWN_CLOSED_FORMS.items():
+        report = check_residue_completeness(CoefficientTuple(coeffs), residues, scale)
+        text = json.dumps(report.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_REPORT_DIGESTS[coeffs], coeffs
+
 
 class TestDiscovery:
     @pytest.mark.parametrize(
@@ -142,15 +287,17 @@ def test_discovery_reproduces_catalog_fast_rows():
         assert report.overall
 
 
-@pytest.mark.slow
 def test_discovery_reproduces_catalog_all_rows():
-    """Full catalog reproduction, including the large-scale rows."""
+    """Full catalog reproduction, including the large-scale rows, with every
+    completeness witness revalidated."""
     for coeffs, (scale, residues) in KNOWN_CLOSED_FORMS.items():
         e = CoefficientTuple(coeffs)
         found = discover_closed_form(e, max_frontier=80000)
         assert found is not None, coeffs
-        cf, _ = found
+        cf, report = found
         assert (cf.scale, cf.residues) == (scale, residues), coeffs
+        assert report.overall, coeffs
+        assert all(validate_cell(e, cell, report.residues) for cell in report.cells), coeffs
 
 
 class TestFamilyParameters:
