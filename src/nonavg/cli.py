@@ -28,8 +28,6 @@ MAX_N_DIGITS = 4300
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nonavg", description=__doc__)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads (outputs are identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="greedy sequence generation")
@@ -263,11 +261,8 @@ def _run_verify(args, out) -> int:
                 return EXIT_USAGE
             coefficients = CoefficientTuple.from_text(args.tuple_text)
             limit = _parse_n(args.n)
-            ok = all(
-                closedform.popcount_residue_pair(coefficients, n)[0]
-                == closedform.popcount_residue_pair(coefficients, n)[1]
-                for n in range(limit)
-            )
+            pairs = (closedform.popcount_residue_pair(coefficients, n) for n in range(limit))
+            ok = all(a == b for a, b in pairs)
             all_ok &= _check_line(out, f"popcount residue law n<{limit}", ok)
             if coefficients.coeffs == (1, 1):
                 ok = all(

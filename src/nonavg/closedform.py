@@ -4,13 +4,14 @@ Two families of sets appear here.  The zero-one family for a valid tuple E
 is the set of integers whose base-(weight+1) digits are all 0 or 1.  A
 ``ClosedForm`` scales that family by a constant and adds a finite residue
 set: its members are  scale * v + r  with v in the zero-one family and r a
-residue.  Counting is done by digit walks, never by enumeration, so bounds
-like 10^10 are instant; an independently coded digit DP cross-checks the
-walks in tests.
+residue.  Every query is one digit walk of one integer, never an
+enumeration, so bounds like 10^100 are instant; an independently coded digit
+DP cross-checks the walks in tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,12 +53,36 @@ def decompose(x: int, base: int, scale: int) -> Decomposition:
     return Decomposition(r, tuple(digits))
 
 
-def _digits(x: int, base: int):
-    out = []
+def _binary_in_base(n: int, base: int) -> int:
+    """The binary digits of n >= 0 read in the given base."""
+    result = 0
+    power = 1
+    while n:
+        if n & 1:
+            result += power
+        n >>= 1
+        power *= base
+    return result
+
+
+def _zero_one_rank(x: int, base: int):
+    """(how many zero-one values lie below x, whether x is one), for x >= 0.
+
+    One walk from the low digit up: a digit 1 at position i adds 2^i, and a
+    digit above 1 frees every lower digit, so the count restarts at 2^(i+1).
+    """
+    count = 0
+    member = True
+    bit = 1
     while x:
         x, d = divmod(x, base)
-        out.append(d)
-    return out
+        if d == 1:
+            count += bit
+        elif d:
+            count = bit << 1
+            member = False
+        bit <<= 1
+    return count, member
 
 
 def zero_one_nth(coefficients: CoefficientTuple, n: int) -> int:
@@ -66,14 +91,7 @@ def zero_one_nth(coefficients: CoefficientTuple, n: int) -> int:
         raise InvalidTuple(f"{coefficients!r} is not valid")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    base = coefficients.base
-    result = 0
-    power = 1
-    while n:
-        if n & 1:
-            result += power
-        n >>= 1
-        power *= base
+    result = _binary_in_base(n, coefficients.base)
     if result >= VALUE_LIMIT:
         raise Overflow(f"term does not fit in 63 bits")
     return result
@@ -83,30 +101,16 @@ def zero_one_contains(coefficients: CoefficientTuple, x: int) -> bool:
     """True iff every base-(weight+1) digit of x is 0 or 1."""
     if not is_valid(coefficients):
         raise InvalidTuple(f"{coefficients!r} is not valid")
-    base = coefficients.base
+    return x >= 0 and _zero_one_rank(x, coefficients.base)[1]
+
+
+def _digits(x: int, base: int):
+    """Base digits of x, least significant first; used by the DP oracle only."""
+    out = []
     while x:
         x, d = divmod(x, base)
-        if d > 1:
-            return False
-    return True
-
-
-def _count_zero_one_below(n: int, base: int) -> int:
-    """Digit walk: how many x < n have only 0/1 digits in the given base."""
-    if n <= 0:
-        return 0
-    digits = _digits(n, base)  # least significant first
-    count = 0
-    for i in range(len(digits) - 1, -1, -1):
-        d = digits[i]
-        if d == 0:
-            continue
-        if d == 1:
-            count += 1 << i
-        else:
-            count += 2 << i  # both 0 and 1 fit below this digit; prefix freed
-            return count
-    return count  # n itself is a member and is excluded (strict bound)
+        out.append(d)
+    return out
 
 
 def _count_zero_one_below_dp(n: int, base: int) -> int:
@@ -137,7 +141,7 @@ def count_zero_one_below(coefficients: CoefficientTuple, n: int) -> int:
     """Exact count of zero-one family members strictly below n."""
     if not is_valid(coefficients):
         raise InvalidTuple(f"{coefficients!r} is not valid")
-    return _count_zero_one_below(n, coefficients.base)
+    return _zero_one_rank(n, coefficients.base)[0] if n > 0 else 0
 
 
 def count_zero_one_below_dp(coefficients: CoefficientTuple, n: int) -> int:
@@ -211,22 +215,12 @@ class ClosedForm:
     def text(self) -> str:
         return f"c={self.scale} base={self.base} R={','.join(str(r) for r in self.residues)}"
 
-    def _nth_scaled(self, q: int) -> int:
-        result = 0
-        power = 1
-        while q:
-            if q & 1:
-                result += power
-            q >>= 1
-            power *= self.base
-        return result
-
     def nth(self, n: int) -> int:
         """n-th member in increasing order (0-indexed)."""
         if n < 0:
             raise ValueError("index must be nonnegative")
         q, s = divmod(n, len(self.residues))
-        value = self.scale * self._nth_scaled(q) + self.residues[s]
+        value = self.scale * _binary_in_base(q, self.base) + self.residues[s]
         if value >= VALUE_LIMIT:
             raise Overflow("term does not fit in 63 bits")
         return value
@@ -234,18 +228,22 @@ class ClosedForm:
     def contains(self, x: int) -> bool:
         if x < 0:
             return False
-        dec = decompose(x, self.base, self.scale)
-        return dec.remainder in set(self.residues) and all(d <= 1 for d in dec.digits)
+        q, s = divmod(x, self.scale)
+        rs = self.residues
+        i = bisect_left(rs, s)
+        return i < len(rs) and rs[i] == s and _zero_one_rank(q, self.base)[1]
 
     def count_below(self, n: int) -> int:
-        """Exact count of members strictly below n, by digit walk per residue."""
-        total = 0
-        for r in self.residues:
-            if n <= r:
-                continue
-            bound = (n - r - 1) // self.scale + 1  # v < (n - r) / scale
-            total += _count_zero_one_below(bound, self.base)
-        return total
+        """Exact count of members strictly below n, by one digit walk.
+
+        With n = scale*q + s, every residue pairs with each zero-one v < q,
+        and the residues below s also pair with v = q when q is zero-one.
+        """
+        if n <= 0:
+            return 0
+        q, s = divmod(n, self.scale)
+        below, member = _zero_one_rank(q, self.base)
+        return len(self.residues) * below + (bisect_left(self.residues, s) if member else 0)
 
     def count_below_dp(self, n: int) -> int:
         """Independent digit-DP version of count_below (for cross-checking)."""

@@ -17,7 +17,7 @@ from operator import lt
 
 from .errors import BudgetExhausted
 from .solver import AvoidanceRule, _blocking_witness, _Budget, _iter_assignments
-from .tuples import CoefficientTuple
+from .tuples import CoefficientTuple, coefficient_groups
 
 CACHE_RULE_TEXT = {AvoidanceRule.DISTINCT: "distinct", AvoidanceRule.NOT_ALL_EQUAL: "notallequal"}
 
@@ -216,16 +216,6 @@ def _iter_distinct_groups(groups, pool, used, prefix):
         )
 
 
-def _grouped(coeffs):
-    groups = []
-    for c in coeffs:
-        if groups and groups[-1][0] == c:
-            groups[-1][1] += 1
-        else:
-            groups.append([c, 1])
-    return [tuple(g) for g in groups]
-
-
 def _naive_blocked_distinct(coeffs, d, terms, terms_set, n):
     """Is there a distinct-terms solution over terms + {n} that uses n?"""
     m = len(coeffs) + 1
@@ -233,7 +223,7 @@ def _naive_blocked_distinct(coeffs, d, terms, terms_set, n):
     for pos in range(m - 1):
         rest = coeffs[:pos] + coeffs[pos + 1:]
         base = coeffs[pos] * n
-        for pairs in _iter_distinct_groups(_grouped(rest), terms, frozenset(), []):
+        for pairs in _iter_distinct_groups(coefficient_groups(rest), terms, frozenset(), []):
             s = base + sum(c * v for c, v in pairs)
             q, r = divmod(s, d)
             if r == 0 and q in terms_set and q != n:

@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import combinations, combinations_with_replacement
 
 from .errors import BudgetExhausted
-from .tuples import VALUE_LIMIT, CoefficientTuple
+from .tuples import VALUE_LIMIT, CoefficientTuple, coefficient_groups
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -330,13 +330,7 @@ def _relaxed_representation(alpha, pool_sorted, coefficients, budget):
     rest_coeffs = coeffs[1:]
     k = len(rest_coeffs)
     pool_set = set(pool_sorted)
-    groups = []
-    for c in rest_coeffs:
-        if groups and groups[-1][0] == c:
-            groups[-1][1] += 1
-        else:
-            groups.append([c, 1])
-    groups = [tuple(g) for g in groups]
+    groups = coefficient_groups(rest_coeffs)
 
     def try_combo(combo):
         for pairs in _group_partitions(combo, groups):
@@ -393,13 +387,7 @@ def verify_solution_free(values, coefficients, rule, node_budget=None):
     budget = _Budget(node_budget)
     distinct = rule is AvoidanceRule.DISTINCT
 
-    groups = []
-    for c in coeffs:
-        if groups and groups[-1][0] == c:
-            groups[-1][1] += 1
-        else:
-            groups.append([c, 1])
-    groups = [tuple(g) for g in groups]
+    groups = coefficient_groups(coeffs)
 
     def rec(gi, used, pairs, acc):
         if gi == len(groups):

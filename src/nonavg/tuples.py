@@ -6,13 +6,14 @@ nondecreasing order, defines the equation
     d_1*x_1 + ... + d_{m-1}*x_{m-1} = d*x_m,      d = d_1 + ... + d_{m-1}.
 
 This module owns the tuple representation, the validity test (two
-equivalent routes, kept independent on purpose), and the subset-sum
-tables used by the closed-form machinery.
+equivalent routes, kept independent on purpose), the grouping of equal
+coefficients, and the subset-sum tables used by the closed-form machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import InvalidTuple
 
@@ -124,6 +125,11 @@ def is_valid(coefficients: CoefficientTuple) -> bool:
             return False
         total += v
     return True
+
+
+def coefficient_groups(coeffs):
+    """Runs of equal coefficients as (coefficient, count) pairs, in order."""
+    return [(c, len(list(run))) for c, run in groupby(coeffs)]
 
 
 def _suffix_reach(coeffs_tail):

@@ -1,7 +1,7 @@
 """Closed forms: digit membership, decomposition uniqueness, exact counting."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nonavg import (
     AvoidanceRule,
@@ -9,6 +9,7 @@ from nonavg import (
     CoefficientTuple,
     InvalidTuple,
     Overflow,
+    KNOWN_CLOSED_FORMS,
     catalog_closed_form,
     count_zero_one_below,
     count_zero_one_below_dp,
@@ -223,10 +224,78 @@ class TestResidueLaws:
             assert thue_morse_bit(2 * n + 1) == 1 - thue_morse_bit(n)
 
 
+# ---------------------------------------------------------------------------
+# The one-walk queries against the digit DP and against enumeration by nth.
+
+
+@st.composite
+def closed_forms(draw):
+    base = draw(st.integers(min_value=2, max_value=16))
+    scale = draw(st.integers(min_value=1, max_value=300))
+    residues = draw(st.sets(st.integers(min_value=0, max_value=scale - 1), max_size=20))
+    return ClosedForm(base, scale, residues | {0})
+
+
+@st.composite
+def forms_with_bounds(draw, max_q):
+    """A form and n = scale*q + r + delta, with q zero-one or not, r a residue
+    or any value below the scale, and delta in {-1, 0, 1}."""
+    cf = draw(closed_forms())
+    if draw(st.booleans()):
+        digits = draw(st.lists(st.integers(min_value=0, max_value=1), max_size=40))
+        q = sum(d * cf.base ** i for i, d in enumerate(digits))
+        while q > max_q:
+            q -= digits.pop() * cf.base ** len(digits)
+    else:
+        q = draw(st.integers(min_value=0, max_value=max_q))
+    r = draw(st.one_of(st.sampled_from(cf.residues), st.integers(min_value=0, max_value=cf.scale - 1)))
+    delta = draw(st.sampled_from((-1, 0, 1)))
+    return cf, cf.scale * q + r + delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms_with_bounds(max_q=10 ** 40))
+def test_count_below_matches_dp(form_and_n):
+    cf, n = form_and_n
+    assert cf.count_below(n) == cf.count_below_dp(n)
+    # n is a member exactly when the DP count steps by one across it.
+    assert cf.contains(n) == (cf.count_below_dp(n + 1) - cf.count_below_dp(n) == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms_with_bounds(max_q=12))
+def test_queries_match_enumeration(form_and_n):
+    cf, n = form_and_n
+    members = []
+    while (v := cf.nth(len(members))) <= n + 1:
+        members.append(v)
+    expected = sum(1 for v in members if v < n)
+    assert cf.count_below(n) == expected
+    assert cf.count_below_dp(n) == expected
+    member_set = set(members)
+    for x in range(-1, n + 2):
+        assert cf.contains(x) == (x in member_set), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_forms(), st.integers(min_value=0, max_value=4095))
+def test_count_below_inverts_nth(cf, k):
+    x = cf.nth(k)
+    assert cf.contains(x)
+    assert cf.count_below(x) == k
+    assert cf.count_below(x + 1) == k + 1
+
+
+def test_catalog_forms_match_dp_up_to_1e100():
+    bounds = sorted({p + e for k in range(0, 101, 5) for p in (10 ** k, 7 * 10 ** k) for e in (-1, 0, 1)})
+    for coeffs in KNOWN_CLOSED_FORMS:
+        cf = catalog_closed_form(CoefficientTuple(coeffs))
+        for n in bounds:
+            assert cf.count_below(n) == cf.count_below_dp(n), (coeffs, n)
+
+
 def test_catalog_rows_round_trip_below_1e6():
     """Every cataloged form: nth is strictly increasing and contains its own values."""
-    from nonavg import KNOWN_CLOSED_FORMS
-
     for coeffs in KNOWN_CLOSED_FORMS:
         cf = catalog_closed_form(CoefficientTuple(coeffs))
         prev = -1
