@@ -14,7 +14,6 @@ from .solver import (
     AvoidanceRule,
     Witness,
     creates_solution,
-    find_representation,
     relaxed_representation,
     verify_solution_free,
     witness_satisfies,

@@ -261,16 +261,15 @@ def _run_verify(args, out) -> int:
                 return EXIT_USAGE
             coefficients = CoefficientTuple.from_text(args.tuple_text)
             limit = _parse_n(args.n)
-            pairs = (closedform.popcount_residue_pair(coefficients, n) for n in range(limit))
-            ok = all(a == b for a, b in pairs)
-            all_ok &= _check_line(out, f"popcount residue law n<{limit}", ok)
+            # One pass: each law reads the n-th zero-one member once.
+            d = coefficients.weight
+            residue_ok = parity_ok = True
+            for n, member in enumerate(closedform.zero_one_prefix(coefficients, limit)):
+                residue_ok = residue_ok and n.bit_count() % d == member % d
+                parity_ok = parity_ok and closedform.thue_morse_bit(n) == member % 2
+            all_ok &= _check_line(out, f"popcount residue law n<{limit}", residue_ok)
             if coefficients.coeffs == (1, 1):
-                ok = all(
-                    closedform.thue_morse_bit(n)
-                    == closedform.zero_one_nth(coefficients, n) % 2
-                    for n in range(limit)
-                )
-                all_ok &= _check_line(out, f"bit-parity sequence law n<{limit}", ok)
+                all_ok &= _check_line(out, f"bit-parity sequence law n<{limit}", parity_ok)
     except BudgetExhausted as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_BUDGET

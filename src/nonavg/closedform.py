@@ -97,6 +97,18 @@ def zero_one_nth(coefficients: CoefficientTuple, n: int) -> int:
     return result
 
 
+def zero_one_prefix(coefficients: CoefficientTuple, count: int):
+    """zero_one_nth(coefficients, n) for n = 0 .. count-1, with one validity check."""
+    if count > 0 and not is_valid(coefficients):
+        raise InvalidTuple(f"{coefficients!r} is not valid")
+    base = coefficients.base
+    for n in range(count):
+        result = _binary_in_base(n, base)
+        if result >= VALUE_LIMIT:
+            raise Overflow("term does not fit in 63 bits")
+        yield result
+
+
 def zero_one_contains(coefficients: CoefficientTuple, x: int) -> bool:
     """True iff every base-(weight+1) digit of x is 0 or 1."""
     if not is_valid(coefficients):

@@ -2,9 +2,11 @@
 
 The greedy rule: start at 0 and repeatedly append the least integer that
 creates no forbidden solution among the chosen terms.  ``generate`` and
-``extend`` run a forbidden-value sieve (``Sieve``); ``naive_generate`` is a
+``extend`` run a forbidden-value sieve (``Sieve``): sumset bitsets from an
+empty prefix, a window of flags from a given one.  ``naive_generate`` is a
 separate, deliberately unoptimized implementation used as an independent
-oracle in tests and must never share search code with the solver module.
+oracle in tests and must never share search code with the solver module or
+the sieve.
 """
 
 from __future__ import annotations
@@ -57,37 +59,34 @@ def _open_roles(coeffs, distinct):
 
 
 class Sieve:
-    """Greedy scan state: the terms so far and, for a window of candidates
-    above the frontier, which ones a solution among the terms forbids.
+    """Greedy scan state: the terms so far, the frontier (the highest integer
+    decided) and what forbids the candidates above it.
 
     A candidate n is forbidden when sigma*n = d*x_m - (sum of rest slots)
     for some role (sigma, rest) and terms x_m and rest values (pairwise
-    distinct under the distinct rule).  A refill enumerates every such
-    solution whose n lands in the new window; accepting a term t adds only
-    the solutions that use t.  A node is one enumeration step (a value tried
-    in a slot, or one value of a last-slot range); the node budget applies
-    to each refill and to each accepted-term update.
+    distinct under the distinct rule).  ``Sieve(seq)`` picks the state from
+    its input: an empty prefix gets sumset bitsets (``_SumsetSieve``), which
+    cost a fixed number of big-int shifts per accepted term; a non-empty
+    one, such as a prefix read from a cache, gets a window of flags filled
+    by enumerating solutions among its terms (``_WindowSieve``), because
+    building the bitsets would cost at least one big-int shift per given
+    term.  The node budget applies to each accepted-term update and to each
+    search for the next term; an accepted term is in the prefix before its
+    update is spent.
     """
+
+    def __new__(cls, seq: GreedySequence):
+        if cls is Sieve:
+            cls = _WindowSieve if seq.terms else _SumsetSieve
+        return super().__new__(cls)
 
     def __init__(self, seq: GreedySequence):
         self.coefficients = seq.coefficients
         self.rule = seq.rule
         self.terms = list(seq.terms)
-        self.terms_set = set(self.terms)
         self.frontier = seq.frontier
         self.distinct = seq.rule is AvoidanceRule.DISTINCT
-        d = seq.coefficients.weight
-        roles = _open_roles(seq.coefficients.coeffs, self.distinct)
-        # Slots after sigma: the averaged value first, with coefficient -d.
-        self.roles = [(sigma, (-d,) + rest) for sigma, rest in roles]
-        # Solutions that use a new term t in a left-hand slot of coefficient c:
-        # (sigma, c, the other slots).
-        self.uses = sorted({
-            (sigma, c, (-d,) + rest[:i] + rest[i + 1:]) for sigma, rest in roles for i, c in enumerate(rest)
-        })
-        self.lo = self.hi = seq.frontier + 1  # empty window: the first step refills
-        self.width = WINDOW_START
-        self.blocked = bytearray()
+        self.roles = _open_roles(seq.coefficients.coeffs, self.distinct)
 
     def sequence(self) -> GreedySequence:
         return GreedySequence(self.coefficients, self.rule, tuple(self.terms), self.frontier)
@@ -99,22 +98,69 @@ class Sieve:
             while max_terms is None or len(terms) < max_terms:
                 if max_value is not None and self.frontier >= max_value:
                     break
-                if self.frontier + 1 >= self.hi:
-                    self._refill(max_value, _Budget(node_budget))
-                end = self.hi if max_value is None else min(self.hi, max_value + 1)
-                pos = self.blocked.find(0, self.frontier + 1 - self.lo, end - self.lo)
-                if pos < 0:
-                    self.frontier = end - 1
-                    continue
-                n = self.lo + pos
+                n = self._next(max_value, node_budget)
+                if n is None:
+                    break
                 terms.append(n)
-                self.terms_set.add(n)
                 self.frontier = n
-                self._add_uses(n, _Budget(node_budget))
+                self._accept(n, node_budget)
         except BudgetExhausted as exc:
-            self.hi = self.frontier + 1  # the window may be half marked: refill on resuming
+            self._interrupted()
             raise BudgetExhausted(exc.nodes, self.sequence(), self.frontier + 1) from None
         return self.sequence()
+
+    def _next(self, max_value, node_budget):
+        """The least admissible value above the frontier; or None, with the
+        frontier moved to max_value, when there is none up to it."""
+        raise NotImplementedError
+
+    def _accept(self, t, node_budget):
+        """Add the solutions that use the new term t."""
+        raise NotImplementedError
+
+    def _interrupted(self):
+        """Leave the state resumable after the node budget ran out."""
+
+
+class _WindowSieve(Sieve):
+    """For a window of candidates above the frontier, which ones a solution
+    among the terms forbids.
+
+    A refill enumerates every solution whose n lands in the new window;
+    accepting a term t adds only the solutions that use t.  A node is one
+    enumeration step (a value tried in a slot, or one value of a last-slot
+    range); a refill is the search for the next term.
+    """
+
+    def __init__(self, seq: GreedySequence):
+        super().__init__(seq)
+        self.terms_set = set(self.terms)
+        d = seq.coefficients.weight
+        # Slots after sigma: the averaged value first, with coefficient -d.
+        self.role_slots = [(sigma, (-d,) + rest) for sigma, rest in self.roles]
+        # Solutions that use a new term t in a left-hand slot of coefficient c:
+        # (sigma, c, the other slots).
+        self.uses = sorted({
+            (sigma, c, (-d,) + rest[:i] + rest[i + 1:]) for sigma, rest in self.roles for i, c in enumerate(rest)
+        })
+        self.lo = self.hi = seq.frontier + 1  # empty window: the first step refills
+        self.width = WINDOW_START
+        self.blocked = bytearray()
+
+    def _next(self, max_value, node_budget):
+        while True:
+            if self.frontier + 1 >= self.hi:
+                self._refill(max_value, _Budget(node_budget))
+            end = self.hi if max_value is None else min(self.hi, max_value + 1)
+            pos = self.blocked.find(0, self.frontier + 1 - self.lo, end - self.lo)
+            if pos >= 0:
+                return self.lo + pos
+            self.frontier = end - 1
+            if max_value is not None and self.frontier >= max_value:
+                return None
+
+    def _interrupted(self):
+        self.hi = self.frontier + 1  # the window may be half marked: refill on resuming
 
     def _refill(self, max_value, budget):
         lo = self.frontier + 1
@@ -124,12 +170,14 @@ class Sieve:
         self.width = min(2 * self.width, WINDOW_MAX)
         self.lo, self.hi = lo, hi
         self.blocked = bytearray(hi - lo)
-        for sigma, slots in self.roles:
+        for sigma, slots in self.role_slots:
             self._mark(sigma, slots, 0, set(), budget)
 
-    def _add_uses(self, t, budget):
+    def _accept(self, t, node_budget):
+        self.terms_set.add(t)
+        budget = _Budget(node_budget)
         d = self.coefficients.weight
-        for sigma, slots in self.roles:  # t as the averaged value
+        for sigma, slots in self.role_slots:  # t as the averaged value
             self._mark(sigma, slots[1:], -d * t, {t}, budget)
         for sigma, c, slots in self.uses:  # t in a left-hand slot
             self._mark(sigma, slots, c * t, {t}, budget)
@@ -153,6 +201,111 @@ class Sieve:
                     i, r = divmod(top - c * v, sigma)
                     if not r:
                         blocked[i] = 1
+
+
+def _sub_multisets(slots):
+    """Every sub-multiset of slots, as tuples in slots' order."""
+    return {sub for r in range(len(slots) + 1) for sub in combinations(slots, r)}
+
+
+def _without(slots, part):
+    rest = list(slots)
+    for c in part:
+        rest.remove(c)
+    return tuple(rest)
+
+
+class _SumsetSieve(Sieve):
+    """Sumset bitsets over the terms, for a scan from an empty prefix.
+
+    For each sub-multiset M of a role's rest slots, ``sums[M]`` holds the
+    values s of (sum over M's slots of coefficient times term), each stored
+    reversed as bit ``top - s``, and ``gaps[M]`` holds the values d*x - s
+    for a further term x; under the distinct rule the terms in one value
+    are pairwise distinct.  A candidate n is forbidden when sigma*n is in
+    gaps[rest] for a role (sigma, rest).
+
+    An accepted term t exceeds every earlier term, so the assignments it
+    adds put t in a set B of M's slots (one slot under the distinct rule,
+    any nonempty one under the not-all-equal rule) and earlier terms in the
+    others: sums[M] gains sums[M - B] + w(B)*t and gaps[M] gains
+    gaps[M - B] - w(B)*t, one shift-or each; and with t as x, gaps[M] gains
+    d*t - sums[M], one more (the sums before t under the distinct rule,
+    after it under the not-all-equal rule).  Gap values at or below the
+    frontier stay in the bitsets but are never read.  The next term is the
+    least value above the frontier that the OR of the sigma = 1 roles' gaps
+    leaves open and no sigma > 1 role forbids, tested bit by bit.
+
+    A node is one big-int operation: a shift-or or OR of an update, a
+    lookup of the next value the sigma = 1 roles leave open, or one bit
+    test against a sigma > 1 role.  An update's node count is known before
+    it starts and is spent first, so an update the budget refuses leaves
+    the bitsets as they were, and the next search applies it.
+    """
+
+    def __init__(self, seq: GreedySequence):
+        super().__init__(seq)
+        states = sorted({m for _, rest in self.roles for m in _sub_multisets(rest)}, key=len)
+        index = {m: i for i, m in enumerate(states)}
+        # For each state M: (w(B), index of M - B) for the slot sets B a new term fills.
+        self.parts = []
+        for m in states:
+            fills = [(c,) for c in set(m)] if self.distinct else [b for b in _sub_multisets(m) if b]
+            self.parts.append([(sum(b), index[_without(m, b)]) for b in fills])
+        self.light = [index[rest] for sigma, rest in self.roles if sigma == 1]
+        self.heavy = [(sigma, index[rest]) for sigma, rest in self.roles if sigma > 1]
+        self.update_nodes = sum(2 * len(p) + 1 for p in self.parts) + len(self.light)
+        self.top = 0
+        self.sums = [1] + [0] * (len(states) - 1)  # states[0] is the empty M: the sum 0
+        self.gaps = [0] * len(states)
+        self.open_gaps = 0  # the OR of the sigma = 1 roles' gaps
+        self.pending = None  # an accepted term whose update the budget refused
+
+    def _next(self, max_value, node_budget):
+        if self.pending is not None:
+            self._accept(self.pending, node_budget)
+        budget = _Budget(node_budget)
+        start = self.frontier + 1
+        free = ~(self.open_gaps >> start)  # bit i set: start + i is open to the sigma = 1 roles
+        gaps = self.gaps
+        while True:
+            budget.spend()
+            low = free & -free
+            n = start + low.bit_length() - 1
+            if max_value is not None and n > max_value:
+                self.frontier = max_value
+                return None
+            for sigma, i in self.heavy:
+                budget.spend()
+                if (gaps[i] >> sigma * n) & 1:
+                    break
+            else:
+                return n
+            free ^= low
+
+    def _accept(self, t, node_budget):
+        self.pending = t
+        d = self.coefficients.weight
+        grow = d * t > self.top
+        _Budget(node_budget).spend(self.update_nodes + grow * len(self.sums))
+        old = self.sums
+        if grow:  # keep top >= d*t, so that every sum, at most (d - 1)*t, has a bit
+            shift = 2 * d * t - self.top
+            self.top += shift
+            old = [s << shift for s in old]
+        sums = list(old)
+        for i, parts in enumerate(self.parts):
+            for w, j in parts:
+                sums[i] |= old[j] >> w * t
+        down = self.top - d * t
+        gaps = [g | s >> down for g, s in zip(self.gaps, old if self.distinct else sums)]
+        for i, parts in enumerate(self.parts):
+            for w, j in parts:
+                gaps[i] |= self.gaps[j] >> w * t
+        for i in self.light:
+            self.open_gaps |= gaps[i]
+        self.sums, self.gaps = sums, gaps
+        self.pending = None
 
 
 def _prefix_within(seq: GreedySequence, max_terms, max_value):

@@ -251,55 +251,6 @@ def creates_solution(ground, candidate, coefficients, rule, node_budget=None):
     return _blocking_witness(terms, set(terms), candidate, coefficients, rule, budget)
 
 
-def find_representation(alpha, pool, coefficients, relaxed=False, node_budget=None):
-    """Witness with ``alpha`` pinned at position 1 and the rest drawn from pool.
-
-    Default mode: all m values pairwise distinct.  Relaxed mode: only the
-    values at positions 2..m-1 must be pairwise distinct; the averaged value
-    is unconstrained and may repeat any of them.
-    """
-    pool_sorted = sorted(set(pool))
-    _check_values_small(pool_sorted)
-    _check_values_small((alpha,))
-    if alpha in set(pool_sorted):
-        raise ValueError("alpha must not be in the pool")
-    budget = _Budget(node_budget)
-    if relaxed:
-        return _relaxed_representation(alpha, pool_sorted, coefficients, budget)
-    coeffs = coefficients.coeffs
-    d = coefficients.weight
-    d1 = coeffs[0]
-    rest = tuple(sorted(coeffs[1:], reverse=True))
-    pool_set = set(pool_sorted)
-    base = d1 * alpha
-    if rest:
-        restmin = sum(c * pool_sorted[0] for c in rest)
-        restmax = sum(c * pool_sorted[-1] for c in rest)
-    else:
-        restmin = restmax = 0
-    a, b = _rhs_window(pool_sorted, base + restmin, base + restmax, d)
-    for idx in range(b - 1, a - 1, -1):
-        x_m = pool_sorted[idx]
-        budget.spend()
-        target = d * x_m - base
-        used = {alpha, x_m}
-        for _, prefix, last in _iter_assignments(rest, target, target, pool_sorted, pool_set, used, True, budget):
-            vals = prefix + (last[0],)
-            by = defaultdict(list)
-            for c, v in zip(rest, vals):
-                by[c].append(v)
-            out = [alpha]
-            remaining = list(coeffs[1:])
-            seen = set()
-            for c in remaining:
-                if c not in seen:
-                    seen.add(c)
-                    out.extend(sorted(by[c]))
-            out.append(x_m)
-            return Witness(tuple(out))
-    return None
-
-
 def _group_partitions(values, groups):
     """Assignments of distinct ``values`` to coefficient groups, deterministically.
 
@@ -318,12 +269,19 @@ def _group_partitions(values, groups):
             yield [(coeff, v) for v in chosen] + tail
 
 
-def _relaxed_representation(alpha, pool_sorted, coefficients, budget):
-    """Relaxed-mode search; companions may come from a pool containing alpha.
+def relaxed_representation(alpha, pool, coefficients, node_budget=None):
+    """Witness with alpha at position 1 and the other values from pool, which
+    may contain alpha.
 
-    Companion sets below alpha are tried first, largest first; if none work
-    the whole pool is scanned ascending.
+    Only the companions (positions 2..m-1) must be pairwise distinct; the
+    averaged value is unconstrained and may repeat any of them.  Companion
+    sets below alpha are tried first, largest first; if none work the whole
+    pool is scanned ascending.
     """
+    pool_sorted = sorted(set(pool))
+    _check_values_small(pool_sorted)
+    _check_values_small((alpha,))
+    budget = _Budget(node_budget)
     coeffs = coefficients.coeffs
     d = coefficients.weight
     d1 = coeffs[0]
@@ -363,14 +321,6 @@ def _relaxed_representation(alpha, pool_sorted, coefficients, budget):
         if w is not None:
             return w
     return None
-
-
-def relaxed_representation(alpha, pool, coefficients, node_budget=None):
-    """Relaxed-mode search where the pool is allowed to contain alpha."""
-    pool_sorted = sorted(set(pool))
-    _check_values_small(pool_sorted)
-    _check_values_small((alpha,))
-    return _relaxed_representation(alpha, pool_sorted, coefficients, _Budget(node_budget))
 
 
 def verify_solution_free(values, coefficients, rule, node_budget=None):

@@ -345,18 +345,19 @@ def test_closed_forms_match_greedy_prefixes(coeffs, count):
     assert list(seq.terms) == want
 
 
-SLOW_ROWS = [
+HEAVY_ROWS = [
     ((1, 1, 1, 2, 3), 32),
     ((1, 1, 1, 3, 6), 22),
     ((1, 1, 2, 2, 3), 20),
     ((1, 1, 2, 2, 5), 36),
     ((1, 1, 2, 3, 3), 24),
     ((1, 1, 2, 3, 4), 20),
+    ((1, 1, 1, 1), 200),
+    ((1, 1, 2, 2, 5), 60),
 ]
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("coeffs,count", SLOW_ROWS)
+@pytest.mark.parametrize("coeffs,count", HEAVY_ROWS)
 def test_closed_forms_match_greedy_prefixes_heavy(coeffs, count):
     e = CoefficientTuple(coeffs)
     cf = catalog_closed_form(e)

@@ -62,6 +62,26 @@ class TestGenerate:
             assert info.value.candidate == partial.frontier + 1
             assert f"at candidate {partial.frontier + 1} with {len(partial.terms)} terms" in str(info.value)
 
+    @pytest.mark.parametrize("rule", [D, N])
+    def test_sieve_resumes_after_budget_exhaustion(self, rule):
+        """However often a small budget stops a sieve, in an update or in a
+        search, its next uncapped advance returns the fresh result."""
+        for coeffs, budget in [((1, 1), 3), ((1, 1), 6), ((1, 1, 2), 8), ((1, 1, 2), 12), ((1, 1, 1, 2), 30)]:
+            e = CoefficientTuple(coeffs)
+            want = generate(e, rule, max_terms=30)
+            for start in ((), (0,)):  # the bitset state and the window state
+                sieve = Sieve(GreedySequence(e, rule, start, len(start) - 1))
+                stops = 0
+                for _ in range(5):
+                    try:
+                        sieve.advance(max_terms=30, node_budget=budget)
+                    except BudgetExhausted as exc:
+                        stops += 1
+                        assert exc.partial == sieve.sequence()
+                        assert exc.partial.terms == want.terms[:len(exc.partial.terms)]
+                assert stops, (coeffs, budget, start)
+                assert sieve.advance(max_terms=30) == want
+
 
 class TestExtend:
     def test_resume_matches_fresh(self):
@@ -159,6 +179,7 @@ def test_sieve_matches_oracles(e, rule, max_value):
     seq = generate(e, rule, max_value=max_value)
     assert list(seq.terms) == naive_generate(e, rule, max_value)
     assert seq.frontier == max_value
+    assert extend(generate(e, rule, max_value=0), max_value=max_value) == seq  # the window state
     terms = set(seq.terms)
     for value in range(max_value + 1):
         ground = [t for t in seq.terms if t < value]
