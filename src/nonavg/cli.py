@@ -261,6 +261,8 @@ def _run_verify(args, out) -> int:
                 return EXIT_USAGE
             coefficients = CoefficientTuple.from_text(args.tuple_text)
             limit = _parse_n(args.n)
+            if limit < 0:
+                raise ValueError(f"n must be nonnegative, got {args.n!r}")
             # One pass: each law reads the n-th zero-one member once.
             d = coefficients.weight
             residue_ok = parity_ok = True

@@ -6,21 +6,21 @@ is the set of integers whose base-(weight+1) digits are all 0 or 1.  A
 set: its members are  scale * v + r  with v in the zero-one family and r a
 residue.  Every query is one digit walk of one integer, never an
 enumeration, so bounds like 10^100 are instant; an independently coded digit
-DP cross-checks the walks in tests.
+DP cross-checks the walks in tests.  The walks take several base digits per
+step through small per-base tables.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidTuple, Overflow
 from .tuples import VALUE_LIMIT, CoefficientTuple, is_valid
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """x = scale * (digits read in the base) + remainder, digits least significant first."""
 
     remainder: int
@@ -53,35 +53,83 @@ def decompose(x: int, base: int, scale: int) -> Decomposition:
     return Decomposition(r, tuple(digits))
 
 
+# Both walks take several base digits per step through per-base tables of at
+# most _TABLE_SIZE entries, built once per base from the per-digit rules.
+_TABLE_SIZE = 256
+
+
+def _chunk_rank(c: int, base: int):
+    """(zero-one values below c, whether c has a digit above 1): the per-digit walk.
+
+    From the low digit up, a digit 1 at position i adds 2^i, and a digit
+    above 1 frees every lower digit, so the count restarts at 2^(i+1).
+    """
+    below = 0
+    big = False
+    bit = 1
+    while c:
+        c, d = divmod(c, base)
+        if d == 1:
+            below += bit
+        elif d:
+            below = bit << 1
+            big = True
+        bit <<= 1
+    return below, big
+
+
+@lru_cache(maxsize=64)
+def _rank_table(base: int):
+    """(base^k, k, _chunk_rank of each chunk below min(base^k, 256)) for the
+    largest k >= 1 with base^k <= 256, or k = 1 above base 256."""
+    step, k = base, 1
+    while step * base <= _TABLE_SIZE:
+        step *= base
+        k += 1
+    return step, k, tuple(_chunk_rank(c, base) for c in range(min(step, _TABLE_SIZE)))
+
+
+@lru_cache(maxsize=64)
+def _bits_table(base: int):
+    """(base^8, the bits of each byte read in the base)."""
+    powers = [base ** i for i in range(8)]
+    table = tuple(sum(p for i, p in enumerate(powers) if b >> i & 1) for b in range(_TABLE_SIZE))
+    return powers[-1] * base, table
+
+
 def _binary_in_base(n: int, base: int) -> int:
-    """The binary digits of n >= 0 read in the given base."""
+    """The binary digits of n >= 0 read in the given base, one byte per step."""
+    step, table = _bits_table(base)
     result = 0
     power = 1
     while n:
-        if n & 1:
-            result += power
-        n >>= 1
-        power *= base
+        result += table[n & 255] * power
+        n >>= 8
+        power *= step
     return result
 
 
 def _zero_one_rank(x: int, base: int):
     """(how many zero-one values lie below x, whether x is one), for x >= 0.
 
-    One walk from the low digit up: a digit 1 at position i adds 2^i, and a
-    digit above 1 frees every lower digit, so the count restarts at 2^(i+1).
+    One walk from the low end, k base digits per step: a chunk with only 0/1
+    digits adds its own count shifted past the lower chunks; a chunk with a
+    digit above 1 frees every lower digit, so the count restarts at its own.
+    Above base 256 a chunk is one digit, and a digit c >= 256 counts as 2.
     """
+    step, k, table = _rank_table(base)
     count = 0
     member = True
-    bit = 1
+    shift = 0
     while x:
-        x, d = divmod(x, base)
-        if d == 1:
-            count += bit
-        elif d:
-            count = bit << 1
+        x, c = divmod(x, step)
+        below, big = table[c] if c < _TABLE_SIZE else (2, True)
+        if big:
+            count = below << shift
             member = False
-        bit <<= 1
+        else:
+            count += below << shift
+        shift += k
     return count, member
 
 

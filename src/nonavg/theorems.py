@@ -18,6 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
+from typing import NamedTuple
 
 from .closedform import ClosedForm
 from .errors import BudgetExhausted, InvalidTuple, UnsupportedM
@@ -38,9 +39,12 @@ class ConditionIResult:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Outcome for one (offset, slack) pair of the completeness condition."""
+class CellResult(NamedTuple):
+    """Outcome for one (offset, slack) pair of the completeness condition.
+
+    A named tuple: one is built per cell, so it must be cheap to construct,
+    and it is immutable.
+    """
 
     r1: int
     j: int

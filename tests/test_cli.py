@@ -181,6 +181,21 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "props", "--tuple", "1,1", "--n", "1024.5")
         assert code == 1 and out == "" and "integer" in err
 
+    @pytest.mark.parametrize("n", ["-1", "-4096", "-1e3"])
+    def test_props_negative_n(self, capsys, n):
+        code, out, err = run(capsys, "verify", "props", "--tuple", "1,1", f"--n={n}")
+        assert code == 1 and out == ""
+        assert err == f"nonavg: n must be nonnegative, got {n!r}\n"
+
+    def test_props_negative_n_as_separate_argument(self, capsys):
+        code, out, err = run(capsys, "verify", "props", "--tuple", "1,1", "--n", "-1")
+        assert (code, out, err) == (1, "", "nonavg: n must be nonnegative, got '-1'\n")
+
+    def test_props_zero_n(self, capsys):
+        code, out, err = run(capsys, "verify", "props", "--tuple", "1,1", "--n", "0")
+        assert code == 0 and err == ""
+        assert out == "PASS popcount residue law n<0\nPASS bit-parity sequence law n<0\n"
+
 
 class TestBounds:
     def test_tuple_report(self, capsys):

@@ -20,6 +20,8 @@ from nonavg import (
     zero_one_contains,
     zero_one_nth,
 )
+from nonavg.closedform import _TABLE_SIZE, _bits_table, _rank_table
+from nonavg.tuples import VALUE_LIMIT
 
 E3 = CoefficientTuple((1, 1))
 E4 = CoefficientTuple((1, 1, 1))
@@ -73,6 +75,13 @@ class TestDecompose:
     def test_example_below_scale(self):
         dec = decompose(11, 4, 12)
         assert dec.remainder == 11 and dec.digits == ()
+
+    def test_immutable(self):
+        dec = decompose(52, 4, 12)
+        for field in ("remainder", "digits"):
+            with pytest.raises(AttributeError):
+                setattr(dec, field, 0)
+        assert dec.value(4, 12) == 52
 
     @given(
         st.integers(min_value=0, max_value=10 ** 12),
@@ -228,9 +237,15 @@ class TestResidueLaws:
 # The one-walk queries against the digit DP and against enumeration by nth.
 
 
+# Bases up to 64 cover every chunk length of the table-driven walks (k = 8
+# digits per step in base 2 down to k = 1 above base 16); bases above 256 have
+# one-digit chunks with digits past the end of the 256-entry tables.
+BASES = st.one_of(st.integers(min_value=2, max_value=64), st.sampled_from((257, 513, 10 ** 6)))
+
+
 @st.composite
 def closed_forms(draw):
-    base = draw(st.integers(min_value=2, max_value=16))
+    base = draw(BASES)
     scale = draw(st.integers(min_value=1, max_value=300))
     residues = draw(st.sets(st.integers(min_value=0, max_value=scale - 1), max_size=20))
     return ClosedForm(base, scale, residues | {0})
@@ -280,10 +295,91 @@ def test_queries_match_enumeration(form_and_n):
 @settings(max_examples=200, deadline=None)
 @given(closed_forms(), st.integers(min_value=0, max_value=4095))
 def test_count_below_inverts_nth(cf, k):
+    k %= min(4096, cf.count_below(VALUE_LIMIT))  # a no-op up to base 16
     x = cf.nth(k)
     assert cf.contains(x)
     assert cf.count_below(x) == k
     assert cf.count_below(x + 1) == k + 1
+
+
+# Fixed cases at the chunk boundaries of the walks: k base digits per step,
+# with base**k = 256 exactly for bases 2, 4 and 16.
+CHUNK_DIGITS = {2: 8, 3: 5, 4: 4, 16: 2}
+
+
+def _chunk_boundary_values(base, k):
+    """x = base**(k*i) - 1 and base**(k*i) (+-1), and values whose only digit
+    above 1 sits in the top chunk or in the lowest chunk, for i = 1..4."""
+    values = []
+    for i in range(1, 5):
+        edge = base ** (k * i)
+        values += [edge - 2, edge - 1, edge, edge + 1]
+        ones = sum(base ** p for p in range(0, k * i, 3))  # zero-one, spans i chunks
+        for d in range(2, base):
+            values += [ones + d * base ** (k * i - 1), ones + d * base ** (k * (i - 1))]
+            values += [d * edge + ones, d * base ** (k * i - 1), d]
+    return values
+
+
+def _per_digit_rank(x, base):
+    digits = []
+    while x:
+        x, d = divmod(x, base)
+        digits.append(d)
+    below = 0
+    for i, d in enumerate(digits):
+        if d == 1:
+            below += 1 << i
+        elif d:
+            below = 2 << i
+    return below, all(d <= 1 for d in digits)
+
+
+@pytest.mark.parametrize("base,k", sorted(CHUNK_DIGITS.items()))
+def test_walks_at_chunk_boundaries(base, k):
+    assert _rank_table(base)[:2] == (base ** k, k)
+    cf = ClosedForm(base, 1, [0])
+    for x in _chunk_boundary_values(base, k):
+        below, member = _per_digit_rank(x, base)
+        assert cf.count_below(x) == below == cf.count_below_dp(x), (base, x)
+        assert cf.contains(x) == member, (base, x)
+    for bits in range(8, 8 * 8, 8):
+        for n in ((1 << bits) - 1, 1 << bits, (1 << bits) + 1):
+            x = sum(base ** i for i in range(n.bit_length()) if n >> i & 1)
+            if x >= VALUE_LIMIT:
+                continue
+            assert cf.nth(n) == x and cf.contains(x), (base, n)
+            assert cf.count_below(x) == n and cf.count_below(x + 1) == n + 1, (base, n)
+
+
+@pytest.mark.parametrize("base", [257, 513, 10 ** 6])
+def test_walks_above_base_256(base):
+    """One-digit chunks: digits 255, 256 and base-1 are all above 1."""
+    cf = ClosedForm(base, 7, [0, 3])
+    for d in (0, 1, 2, 255, 256, base - 1):
+        for ones in (0, 1, base ** 3 + 1):
+            for q in (d * base ** 4 + ones, ones * base + d, d):
+                for n in (7 * q, 7 * q + 2, 7 * q + 3, 7 * q + 4):
+                    assert cf.count_below(n) == cf.count_below_dp(n), (base, n)
+                    assert cf.contains(n) == (cf.count_below_dp(n + 1) - cf.count_below_dp(n) == 1), (base, n)
+    for k in range(16):
+        assert cf.count_below(cf.nth(k)) == k
+
+
+def test_walk_tables_stay_small():
+    """Every cached table holds at most 256 entries, whatever the base."""
+    bases = (2, 3, 16, 17, 255, 256, 257, 513, 10 ** 6)
+    for base in bases:
+        cf = ClosedForm(base, 5, [0, 2])
+        cf.nth(3)
+        cf.contains(10 ** 30)
+        cf.count_below(10 ** 30)
+    for table in (_rank_table, _bits_table):
+        assert table.cache_info().maxsize is not None
+        hits = table.cache_info().hits
+        for base in bases:
+            assert len(table(base)[-1]) <= _TABLE_SIZE
+        assert table.cache_info().hits == hits + len(bases)  # each was already cached
 
 
 def test_catalog_forms_match_dp_up_to_1e100():

@@ -69,6 +69,13 @@ class TestResidueCompleteness:
         assert outcomes[(2, 0)]  # 2 + 0 + 1 = 3 * 1
         assert not all(outcomes.values())
 
+    def test_cells_are_immutable(self):
+        cell = check_residue_completeness(E4, range(5), 12).cells[0]
+        for field in ("r1", "j", "subset", "residues"):
+            with pytest.raises(AttributeError):
+                setattr(cell, field, None)
+        assert cell.passed and cell.residues is not None
+
     def test_witnesses_revalidate_independently(self):
         report = check_residue_completeness(E4, range(5), 12)
         for cell in report.cells:
