@@ -1,5 +1,6 @@
 """Witness search: soundness, desk-scale completeness against a naive reference."""
 
+import hashlib
 import itertools
 import random
 
@@ -10,7 +11,9 @@ from nonavg import (
     BudgetExhausted,
     CoefficientTuple,
     creates_solution,
+    generate,
     relaxed_representation,
+    skip_witness,
     verify_solution_free,
     witness_satisfies,
 )
@@ -194,3 +197,53 @@ class TestVerifySolutionFree:
             if got is not None:
                 assert witness_satisfies(got.values, e, rule)
                 assert all(v in set(vals) for v in got.values)
+
+
+# Tuples for the witness digest: catalog rows, the pair tuple, one m=6 row
+# and the invalid (2, 2, 3); each with the prefix length generated for it.
+DIGEST_TUPLES = [((1, 1), 14), ((1, 2), 12), ((1, 1, 1), 12), ((1, 1, 2), 12),
+                 ((1, 1, 2, 4), 10), ((1, 1, 2, 2, 5), 8), ((2, 2, 3), 10)]
+# sha256 of every witness in witness_digest_calls, recorded before the
+# witness search was rewritten on top of the enumeration kernel.
+WITNESS_DIGEST = "85e98e44410a12f698b3ed99481444b11f8029cd992585e59005689fd5beea6d"
+
+
+def witness_digest_calls():
+    """(kind, coefficients, rule, ground, value, seq) for a fixed, seeded list
+    of witness searches; ``seq`` is set for a skip_witness call.
+
+    Grounds are generated prefixes and random solution-free sets; the
+    values lie above, inside and below each ground, under both rules.
+    """
+    rng = random.Random(20261018)
+    for rule in (D, N):
+        for coeffs, terms in DIGEST_TUPLES:
+            e = CoefficientTuple(coeffs)
+            seq = generate(e, rule, max_terms=terms)
+            for value in range(seq.frontier + 8):
+                if value not in seq.terms:
+                    kind = "inside" if value < seq.frontier else "above"
+                    yield kind, e, rule, seq.terms, value, None
+                    if kind == "inside":
+                        yield "skip", e, rule, seq.terms, value, seq
+            for _ in range(3):  # random solution-free grounds, grown one random value at a time
+                lo = rng.randint(5, 20)
+                ground = []
+                for v in rng.sample(range(lo, lo + 30), 30):
+                    if len(ground) < 8 and verify_solution_free(ground + [v], e, rule) is None:
+                        ground.append(v)
+                ground = tuple(sorted(ground))
+                for value in sorted(rng.sample([v for v in range(lo + 35) if v not in ground], 8)):
+                    yield "random", e, rule, ground, value, None
+
+
+def test_witness_digest():
+    """The canonical witnesses, None included, stay byte for byte the same."""
+    lines = []
+    for kind, e, rule, ground, value, seq in witness_digest_calls():
+        w = skip_witness(seq, value) if seq else creates_solution(ground, value, e, rule)
+        if w is not None:
+            assert witness_satisfies(w.values, e, rule) and value in w.values
+        lines.append(repr((kind, e.coeffs, rule.value, ground, value, w and w.values)))
+    assert len(lines) > 1000
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WITNESS_DIGEST
