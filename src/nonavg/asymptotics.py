@@ -11,7 +11,7 @@ as a certified bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .closedform import ClosedForm, count_zero_one_below, zero_one_nth
 from .errors import DomainError, Overflow
@@ -28,14 +28,7 @@ class BoundsReport:
     params: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "exact": self.exact,
-            "lower": self.lower,
-            "upper": self.upper,
-            "theta": self.theta,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def count_exponent(base: int) -> float:

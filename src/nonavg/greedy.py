@@ -18,7 +18,7 @@ from itertools import combinations
 from operator import lt
 
 from .errors import BudgetExhausted
-from .solver import AvoidanceRule, _blocking_witness, _Budget, _iter_assignments
+from .solver import AvoidanceRule, _Budget, _iter_assignments, creates_solution
 from .tuples import CoefficientTuple, coefficient_groups
 
 CACHE_RULE_TEXT = {AvoidanceRule.DISTINCT: "distinct", AvoidanceRule.NOT_ALL_EQUAL: "notallequal"}
@@ -346,9 +346,8 @@ def skip_witness(seq: GreedySequence, value: int, node_budget=None):
     """Recompute the rejection witness for a skipped integer at or below the frontier."""
     if value in set(seq.terms):
         raise ValueError(f"{value} is a term, not a skip")
-    ground = [t for t in seq.terms if t < value]
-    budget = _Budget(node_budget)
-    return _blocking_witness(ground, set(ground), value, seq.coefficients, seq.rule, budget)
+    ground = seq.terms[:bisect_right(seq.terms, value)]
+    return creates_solution(ground, value, seq.coefficients, seq.rule, node_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,12 @@ def _iter_assignments(slots, lo_sum, hi_sum, pool, pool_set, used, distinct, bud
     sharing a coefficient receive values in strictly increasing (distinct)
     or nondecreasing order, which removes permutation duplicates without
     losing solutions.  When ``distinct`` is set, values must also avoid
-    ``used`` and each other.  Enumeration order is ascending at every level,
-    so the first tuple is canonical.  A one-value target (lo_sum == hi_sum)
-    yields groups of one value.
+    ``used`` and each other.  Enumeration order is ascending at every level
+    but one: a negative slot before the last (the averaged value, written as
+    a slot of coefficient -d) runs descending, so the first tuple is the
+    canonical one.  A one-value target (lo_sum == hi_sum) yields groups of
+    one value.
     """
-    if not pool:
-        return
     k = len(slots)
     pmin, pmax = pool[0], pool[-1]
     sufmin = [0] * (k + 1)
@@ -131,7 +131,8 @@ def _iter_assignments(slots, lo_sum, hi_sum, pool, pool_set, used, distinct, bud
                 yield acc, tuple(out), last
             return
         same_next = slots[i + 1] == c
-        for v in pool[bisect_left(pool, v_lo):bisect_right(pool, v_hi)]:
+        values = pool[bisect_left(pool, v_lo):bisect_right(pool, v_hi)]
+        for v in reversed(values) if c < 0 else values:
             budget.spend()
             if distinct and v in used:
                 continue
@@ -149,89 +150,56 @@ def _iter_assignments(slots, lo_sum, hi_sum, pool, pool_set, used, distinct, bud
     yield from rec(0, lo_sum, hi_sum, pmin, 0)
 
 
-def _assemble(coefficients, pairs, rhs):
-    """Order assigned (coefficient, value) pairs into the canonical witness layout.
+def _assemble(coeffs, pairs, rhs):
+    """Witness values of assigned (coefficient, value) pairs, in the canonical layout.
 
     Values are grouped per coefficient and sorted ascending within a group,
-    then laid out along the nondecreasing coefficient positions, with the
-    averaged value last.
+    then laid out along the nondecreasing coefficient positions ``coeffs``,
+    with the averaged value ``rhs`` last.  A pair whose coefficient is not in
+    ``coeffs``, such as the averaged value's -d, is left out.
     """
     by = defaultdict(list)
     for c, v in pairs:
         by[c].append(v)
     out = []
-    seen = set()
-    for c in coefficients.coeffs:
-        if c not in seen:
-            seen.add(c)
-            out.extend(sorted(by[c]))
+    for c in dict.fromkeys(coeffs):
+        out.extend(sorted(by[c]))
     out.append(rhs)
-    return Witness(tuple(out))
-
-
-def _rhs_window(pool, lo_sum, hi_sum, d):
-    """Indices of pool values x with lo_sum <= d*x <= hi_sum."""
-    lo = -(-lo_sum // d)
-    hi = hi_sum // d
-    return bisect_left(pool, lo), bisect_right(pool, hi)
+    return tuple(out)
 
 
 def _blocking_witness(terms, terms_set, candidate, coefficients, rule, budget):
     """First witness over terms + {candidate} that uses the candidate, or None.
 
     ``terms`` must be solution-free, sorted, and exclude the candidate.
-    The candidate's role is enumerated: averaged side first, then one
-    left-hand slot per distinct coefficient (largest first); inside a role
-    the averaged value runs descending from its feasible maximum.
+    The equation is written as slots, the averaged value a slot of
+    coefficient -d.  Each role puts the candidate in one slot, the averaged
+    value first, then one left-hand slot per distinct coefficient (largest
+    first), and enumerates the other slots once, the averaged value
+    descending.  Under the not-all-equal rule every role skips the
+    all-equal assignment.
     """
     if not terms:
         return None
     coeffs = coefficients.coeffs
     d = coefficients.weight
     distinct = rule is AvoidanceRule.DISTINCT
-    slots_all = tuple(sorted(coeffs, reverse=True))
-
-    # Role A: candidate is the averaged value.
     if distinct:
-        pool, pool_set = terms, terms_set
+        pool, pool_set, used = terms, terms_set, {candidate}
     else:
         pool = list(terms)
         insort(pool, candidate)
-        pool_set = terms_set | {candidate}
-    target = d * candidate
-    used = {candidate} if distinct else None
-    for _, prefix, last in _iter_assignments(slots_all, target, target, pool, pool_set, used, distinct, budget):
-        vals = prefix + (last[0],)
-        if not distinct and all(v == candidate for v in vals):
-            continue  # the all-equal assignment is the one trivial solution
-        return _assemble(coefficients, list(zip(slots_all, vals)), candidate)
-
-    # Role B: candidate on the left-hand side with coefficient u.
-    if distinct:
-        lhs_pool, lhs_set = terms, terms_set
-    else:
-        lhs_pool, lhs_set = pool, pool_set
-    for u in sorted(set(coeffs), reverse=True):
-        rest = list(slots_all)
-        rest.remove(u)
-        rest = tuple(rest)
-        base = u * candidate
-        if rest:
-            restmin = sum(c * lhs_pool[0] for c in rest)
-            restmax = sum(c * lhs_pool[-1] for c in rest)
-        else:
-            restmin = restmax = 0
-        a, b = _rhs_window(terms, base + restmin, base + restmax, d)
-        for idx in range(b - 1, a - 1, -1):
-            x_m = terms[idx]
-            budget.spend()
-            target = d * x_m - base
-            used = {candidate, x_m} if distinct else None
-            for _, prefix, last in _iter_assignments(rest, target, target, lhs_pool, lhs_set, used, distinct, budget):
-                vals = prefix + (last[0],)
-                pairs = list(zip(rest, vals))
-                pairs.append((u, candidate))
-                return _assemble(coefficients, pairs, x_m)
+        pool_set, used = terms_set | {candidate}, None
+    equation = (-d,) + tuple(sorted(coeffs, reverse=True))
+    for role in (-d,) + tuple(sorted(set(coeffs), reverse=True)):
+        slots = list(equation)
+        slots.remove(role)
+        target = -role * candidate
+        for _, prefix, last in _iter_assignments(slots, target, target, pool, pool_set, used, distinct, budget):
+            vals = prefix + (last[0],)
+            if distinct or any(v != candidate for v in vals):
+                pairs = list(zip(slots, vals)) + [(role, candidate)]
+                return Witness(_assemble(coeffs, pairs, candidate if role == -d else vals[0]))
     return None
 
 
@@ -296,17 +264,7 @@ def relaxed_representation(alpha, pool, coefficients, node_budget=None):
             s = d1 * alpha + sum(c * v for c, v in pairs)
             q, r = divmod(s, d)
             if r == 0 and q in pool_set:
-                out = [alpha]
-                by = defaultdict(list)
-                for c, v in pairs:
-                    by[c].append(v)
-                seen = set()
-                for c in rest_coeffs:
-                    if c not in seen:
-                        seen.add(c)
-                        out.extend(sorted(by[c]))
-                out.append(q)
-                return Witness(tuple(out))
+                return Witness((alpha,) + _assemble(rest_coeffs, pairs, q))
         return None
 
     below = [v for v in pool_sorted if v < alpha]
@@ -351,7 +309,7 @@ def verify_solution_free(values, coefficients, rule, node_budget=None):
                 flat = [v for _, v in pairs]
                 if all(v == q for v in flat):
                     return None
-            return _assemble(coefficients, pairs, q)
+            return Witness(_assemble(coeffs, pairs, q))
         coeff, count = groups[gi]
         chooser = combinations(vals, count) if distinct else combinations_with_replacement(vals, count)
         for chosen in chooser:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nonavg import KNOWN_CLOSED_FORMS
 from nonavg.cli import main
 
 S3_17 = [0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40, 81]
@@ -108,6 +109,24 @@ class TestGenerate:
         assert err == f"generate: ignoring cache {cache}: cache terms are not strictly increasing\n"
         assert cache.read_text() == "# tuple=1,1 rule=distinct frontier=10\n0\n1\n3\n4\n9\n10\n"
 
+    def test_budget_exhaustion_flushes_partial_to_the_cache(self, capsys, tmp_path):
+        cache = tmp_path / "s3.cache"
+        run(capsys, "generate", "--tuple", "1,1", "--max-terms", "6", "--cache", str(cache))
+        code, out, err = run(
+            capsys, "generate", "--tuple", "1,1", "--max-terms", "17", "--cache", str(cache), "--node-budget", "12",
+        )
+        assert code == 2
+        assert [int(v) for v in out.split()] == S3_17[:13]
+        assert err == "generate: search budget exhausted after 13 nodes at candidate 37 with 13 terms\n"
+        assert cache.read_text() == "# tuple=1,1 rule=distinct frontier=36\n" + out
+        _, fresh, _ = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "17")
+        assert run(capsys, "generate", "--tuple", "1,1", "--max-terms", "17", "--cache", str(cache)) == (0, fresh, "")
+
+    def test_malformed_budget_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("NONAVG_NODE_BUDGET", "lots")
+        code, out, err = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "3")
+        assert (code, out, err) == (1, "", "nonavg: bad NONAVG_NODE_BUDGET value 'lots'\n")
+
     def test_well_formed_wrong_cache_is_trusted(self, capsys, tmp_path):
         """Only the structure is checked on load, not the terms themselves."""
         cache = tmp_path / "bad.cache"
@@ -166,6 +185,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "table2", "--rows", "1,1,2;1,1,2,4")
         assert code == 0
         assert out.count("PASS") == 2
+
+    def test_table1_budget_exhausted(self, capsys):
+        code, _, err = run(capsys, "verify", "table1", "--m", "4", "--node-budget", "1")
+        assert code == 2 and err.startswith("verify: search budget exhausted")
+
+    def test_table2_default_rows(self, capsys):
+        code, out, _ = run(capsys, "verify", "table2")
+        rows = [",".join(map(str, coeffs)) for coeffs, (scale, _) in KNOWN_CLOSED_FORMS.items() if scale <= 122]
+        assert code == 0 and len(rows) == 19
+        assert out == "".join(f"PASS catalog row {row}\n" for row in rows)
+
+    def test_table2_row_without_a_closed_form(self, capsys):
+        code, out, _ = run(capsys, "verify", "table2", "--rows", "1,1,2,2", "--max-frontier", "100")
+        assert code == 1 and out == "FAIL closed form exists for 1,1,2,2\n"
+
+    def test_props_needs_a_tuple(self, capsys):
+        code, out, err = run(capsys, "verify", "props")
+        assert (code, out, err) == (1, "", "verify props: need --tuple\n")
 
     def test_props(self, capsys):
         code, out, _ = run(capsys, "verify", "props", "--tuple", "1,1", "--n", "4096")
@@ -245,3 +282,7 @@ class TestBounds:
     def test_missing_subject(self, capsys):
         code, _, err = run(capsys, "bounds", "--n", "10")
         assert code == 1
+
+    def test_missing_n(self, capsys):
+        code, out, err = run(capsys, "bounds", "--tuple", "1,1")
+        assert (code, out, err) == (1, "", "bounds: need --n\n")
