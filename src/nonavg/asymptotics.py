@@ -138,31 +138,30 @@ def compare_bound_readings(n) -> dict:
     """Recompute the worked bound example under both parameter readings.
 
     Reading "base4-literal" uses the all-ones tuple on four variables
-    (weight 3, scale 12, five residues); reading "base5" uses weight 4 with
-    scale 16 and five residues.  The report flags which reading lands on the
-    reference values.
+    (weight 3, scale 12, five residues); reading "base5" uses the tuple
+    1,1,2 (weight 4) with scale 16 and five residues.  Each reading is the
+    zero-one bounds of its tuple and the closed-form bounds of its scale and
+    residues 0..4, so n must exceed both scales.  The report flags which
+    reading lands on the reference values.
     """
     readings = []
-    for label, d, scale, rho in (
-        ("base4-literal", 3, 12, 5),
-        ("base5", 4, 16, 5),
-    ):
-        theta = math.log(2.0) / math.log(d + 1)
-        f_lower = 0.5 * float(n) ** theta
-        h_lower = rho * 0.5 * (n / scale - 1.0) ** theta
-        entry = {
+    for label, coeffs, scale in (("base4-literal", (1, 1, 1), 12), ("base5", (1, 1, 2), 16)):
+        coefficients = CoefficientTuple(coeffs)
+        d = coefficients.weight
+        f = zero_one_count_bounds(coefficients, n)
+        h = closed_form_count_bounds(ClosedForm(d + 1, scale, range(5)), n)
+        readings.append({
             "label": label,
             "d": d,
             "c": scale,
-            "r_count": rho,
-            "theta": theta,
-            "f_lower": f_lower,
-            "f_lower_ceil": math.ceil(f_lower),
-            "h_lower": h_lower,
-            "h_lower_ceil": math.ceil(h_lower),
+            "r_count": h.params["r_count"],
+            "theta": f.theta,
+            "f_lower": f.lower,
+            "f_lower_ceil": math.ceil(f.lower),
+            "h_lower": h.lower,
+            "h_lower_ceil": math.ceil(h.lower),
             "behrend": behrend_lower_bound(d, n) if n > d * d else None,
-        }
-        readings.append(entry)
+        })
 
     report = {"n": n, "readings": readings}
     if n == REFERENCE_EXAMPLE_N:

@@ -17,7 +17,7 @@ from decimal import Decimal, InvalidOperation
 from . import asymptotics, closedform, greedy, theorems
 from .errors import BudgetExhausted, InvalidTuple, UnsupportedM
 from .solver import DEFAULT_NODE_BUDGET, AvoidanceRule
-from .tuples import CoefficientTuple
+from .tuples import CoefficientTuple, is_valid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,8 +178,6 @@ def _write_cache(path, cached, seq):
 
 def _run_discover(args, out) -> int:
     coefficients = CoefficientTuple.from_text(args.tuple_text)
-    from .tuples import is_valid
-
     if not is_valid(coefficients):
         print(f"discover: {coefficients.text()} is not a valid tuple", file=sys.stderr)
         return EXIT_USAGE

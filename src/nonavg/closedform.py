@@ -16,8 +16,8 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InvalidTuple, Overflow
-from .tuples import VALUE_LIMIT, CoefficientTuple, is_valid
+from .errors import Overflow
+from .tuples import VALUE_LIMIT, CoefficientTuple, require_valid
 
 
 class Decomposition(NamedTuple):
@@ -135,8 +135,7 @@ def _zero_one_rank(x: int, base: int):
 
 def zero_one_nth(coefficients: CoefficientTuple, n: int) -> int:
     """n-th member (0-indexed): write n in binary, read it in base weight+1."""
-    if not is_valid(coefficients):
-        raise InvalidTuple(f"{coefficients!r} is not valid")
+    require_valid(coefficients)
     if n < 0:
         raise ValueError("index must be nonnegative")
     result = _binary_in_base(n, coefficients.base)
@@ -147,8 +146,8 @@ def zero_one_nth(coefficients: CoefficientTuple, n: int) -> int:
 
 def zero_one_prefix(coefficients: CoefficientTuple, count: int):
     """zero_one_nth(coefficients, n) for n = 0 .. count-1, with one validity check."""
-    if count > 0 and not is_valid(coefficients):
-        raise InvalidTuple(f"{coefficients!r} is not valid")
+    if count > 0:
+        require_valid(coefficients)
     base = coefficients.base
     for n in range(count):
         result = _binary_in_base(n, base)
@@ -159,8 +158,7 @@ def zero_one_prefix(coefficients: CoefficientTuple, count: int):
 
 def zero_one_contains(coefficients: CoefficientTuple, x: int) -> bool:
     """True iff every base-(weight+1) digit of x is 0 or 1."""
-    if not is_valid(coefficients):
-        raise InvalidTuple(f"{coefficients!r} is not valid")
+    require_valid(coefficients)
     return x >= 0 and _zero_one_rank(x, coefficients.base)[1]
 
 
@@ -199,15 +197,13 @@ def _count_zero_one_below_dp(n: int, base: int) -> int:
 
 def count_zero_one_below(coefficients: CoefficientTuple, n: int) -> int:
     """Exact count of zero-one family members strictly below n."""
-    if not is_valid(coefficients):
-        raise InvalidTuple(f"{coefficients!r} is not valid")
+    require_valid(coefficients)
     return _zero_one_rank(n, coefficients.base)[0] if n > 0 else 0
 
 
 def count_zero_one_below_dp(coefficients: CoefficientTuple, n: int) -> int:
     """Same count via the independent digit DP (for cross-checking)."""
-    if not is_valid(coefficients):
-        raise InvalidTuple(f"{coefficients!r} is not valid")
+    require_valid(coefficients)
     return _count_zero_one_below_dp(n, coefficients.base)
 
 
@@ -233,8 +229,7 @@ class ClosedForm:
         if any(r < 0 for r in rs):
             raise ValueError("residues must be nonnegative")
         if coefficients is not None:
-            if not is_valid(coefficients):
-                raise InvalidTuple(f"{coefficients!r} is not valid")
+            require_valid(coefficients)
             if coefficients.base != base:
                 raise ValueError("base must equal the tuple weight plus one")
         object.__setattr__(self, "base", base)

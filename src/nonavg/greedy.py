@@ -14,7 +14,8 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from operator import lt
 
 from .errors import BudgetExhausted
@@ -39,6 +40,25 @@ class GreedySequence:
     frontier: int
 
 
+@lru_cache(maxsize=256)
+def _splits(slots, distinct):
+    """(w(B), slots - B) for each set B of the sorted slots that one new value
+    can fill: one slot under the distinct rule, any nonempty sub-multiset
+    under the not-all-equal rule.  B is a count vector over the coefficient
+    groups, at most prod(count + 1) of them; slots - B keeps slots' order."""
+    groups = coefficient_groups(slots)
+    if distinct:  # B is one slot: a unit count vector
+        counts = [[int(i == j) for j in range(len(groups))] for i in range(len(groups))]
+    else:
+        counts = product(*(range(n + 1) for _, n in groups))
+    splits = []
+    for taken in counts:
+        if any(taken):
+            rest = tuple(c for k, (c, n) in zip(taken, groups) for _ in range(n - k))
+            splits.append((sum(k * c for k, (c, _) in zip(taken, groups)), rest))
+    return tuple(splits)
+
+
 def _open_roles(coeffs, distinct):
     """(sigma, rest) for each way a new value n can sit in a solution.
 
@@ -47,15 +67,7 @@ def _open_roles(coeffs, distinct):
     nonempty proper subset under the not-all-equal rule) and terms fill the
     ``rest`` slots, coefficients nonincreasing.
     """
-    k = len(coeffs)
-    roles = set()
-    for mask in range(1, (1 << k) - 1):
-        taken = [coeffs[i] for i in range(k) if mask >> i & 1]
-        if distinct and len(taken) > 1:
-            continue
-        rest = tuple(sorted((coeffs[i] for i in range(k) if not mask >> i & 1), reverse=True))
-        roles.add((sum(taken), rest))
-    return sorted(roles)
+    return sorted(split for split in _splits(tuple(reversed(coeffs)), distinct) if split[1])
 
 
 class Sieve:
@@ -141,7 +153,7 @@ class _WindowSieve(Sieve):
         # Solutions that use a new term t in a left-hand slot of coefficient c:
         # (sigma, c, the other slots).
         self.uses = sorted({
-            (sigma, c, (-d,) + rest[:i] + rest[i + 1:]) for sigma, rest in self.roles for i, c in enumerate(rest)
+            (sigma, c, (-d,) + other) for sigma, rest in self.roles for c, other in _splits(rest, True)
         })
         self.lo = self.hi = seq.frontier + 1  # empty window: the first step refills
         self.width = WINDOW_START
@@ -203,18 +215,6 @@ class _WindowSieve(Sieve):
                         blocked[i] = 1
 
 
-def _sub_multisets(slots):
-    """Every sub-multiset of slots, as tuples in slots' order."""
-    return {sub for r in range(len(slots) + 1) for sub in combinations(slots, r)}
-
-
-def _without(slots, part):
-    rest = list(slots)
-    for c in part:
-        rest.remove(c)
-    return tuple(rest)
-
-
 class _SumsetSieve(Sieve):
     """Sumset bitsets over the terms, for a scan from an empty prefix.
 
@@ -245,13 +245,11 @@ class _SumsetSieve(Sieve):
 
     def __init__(self, seq: GreedySequence):
         super().__init__(seq)
-        states = sorted({m for _, rest in self.roles for m in _sub_multisets(rest)}, key=len)
+        rests = {rest for _, rest in self.roles}
+        states = sorted(rests.union(r for m in rests for _, r in _splits(m, False)), key=len)
         index = {m: i for i, m in enumerate(states)}
         # For each state M: (w(B), index of M - B) for the slot sets B a new term fills.
-        self.parts = []
-        for m in states:
-            fills = [(c,) for c in set(m)] if self.distinct else [b for b in _sub_multisets(m) if b]
-            self.parts.append([(sum(b), index[_without(m, b)]) for b in fills])
+        self.parts = [[(w, index[r]) for w, r in _splits(m, self.distinct)] for m in states]
         self.light = [index[rest] for sigma, rest in self.roles if sigma == 1]
         self.heavy = [(sigma, index[rest]) for sigma, rest in self.roles if sigma > 1]
         self.update_nodes = sum(2 * len(p) + 1 for p in self.parts) + len(self.light)

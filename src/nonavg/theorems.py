@@ -21,10 +21,10 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .closedform import ClosedForm
-from .errors import BudgetExhausted, InvalidTuple, UnsupportedM
+from .errors import BudgetExhausted, UnsupportedM
 from .greedy import GreedySequence, Sieve, generate
 from .solver import DEFAULT_NODE_BUDGET, AvoidanceRule, relaxed_representation
-from .tuples import CoefficientTuple, is_valid
+from .tuples import CoefficientTuple, require_valid
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ class ConditionReport:
 
 def check_scale_identity(coefficients, residues, scale) -> ConditionIResult:
     """scale == 1 + d*max(residues) - sum over k>=2 of d_k*(m-k-1), evaluated exactly."""
-    if not is_valid(coefficients):
-        raise InvalidTuple(f"{coefficients!r} is not valid")
+    require_valid(coefficients)
     if not residues:
         raise ValueError("residues must be nonempty")
     coeffs = coefficients.coeffs
@@ -190,8 +189,7 @@ def check_residue_completeness(coefficients, residues, scale, node_budget=None) 
     assignment is the lexicographically first with the remaining sum.  A
     node is one (cell, averaged residue, subset) step.
     """
-    if not is_valid(coefficients):
-        raise InvalidTuple(f"{coefficients!r} is not valid")
+    require_valid(coefficients)
     coeffs = coefficients.coeffs
     d = coefficients.weight
     m = coefficients.m
@@ -281,8 +279,7 @@ def discover_closed_form(
     serves every z.  Returns
     (ClosedForm, ConditionReport) or None when the caps are reached.
     """
-    if not is_valid(coefficients):
-        raise InvalidTuple(f"{coefficients!r} is not valid")
+    require_valid(coefficients)
     sieve = Sieve(GreedySequence(coefficients, AvoidanceRule.DISTINCT, (), -1))
     terms = ()
     for z in range(max_residues):

@@ -127,6 +127,12 @@ def is_valid(coefficients: CoefficientTuple) -> bool:
     return True
 
 
+def require_valid(coefficients: CoefficientTuple) -> None:
+    """Raise InvalidTuple unless the tuple is valid."""
+    if not is_valid(coefficients):
+        raise InvalidTuple(f"{coefficients!r} is not valid")
+
+
 def coefficient_groups(coeffs):
     """Runs of equal coefficients as (coefficient, count) pairs, in order."""
     return [(c, len(list(run))) for c, run in groupby(coeffs)]
@@ -159,8 +165,7 @@ def subset_sum_table(coefficients: CoefficientTuple) -> SubsetSumTable:
     (positions taken greedily from the left while the remainder stays
     reachable), so tables are reproducible across runs.
     """
-    if not is_valid(coefficients):
-        raise InvalidTuple(f"{coefficients!r} is not valid")
+    require_valid(coefficients)
     c = coefficients.coeffs
     d = coefficients.weight
     tail = c[1:]  # coefficients at positions 2..m-1

@@ -186,6 +186,11 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 2
 
+    def test_table1_large_m(self, capsys):
+        code, out, _ = run(capsys, "verify", "table1", "--m", "40")
+        assert code == 0
+        assert out == "PASS family scale identity m=40\nPASS family prefix m=40\n"
+
     def test_table1_budget_exhausted(self, capsys):
         code, _, err = run(capsys, "verify", "table1", "--m", "4", "--node-budget", "1")
         assert code == 2 and err.startswith("verify: search budget exhausted")
@@ -254,6 +259,13 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["n"] == 10 ** 10
         assert payload["matches"]["f"] == ["base5"]
+
+    @pytest.mark.parametrize("n", ["5", "16"])
+    def test_section4_n_at_or_below_the_scale(self, capsys, n):
+        """The base5 reading's closed-form bound needs n above its scale 16."""
+        code, out, err = run(capsys, "bounds", "--section4", "--n", n)
+        assert code == 1 and out == ""
+        assert err == "nonavg: n must exceed the scale\n"
 
     def test_n_is_parsed_exactly(self, capsys):
         code, out, _ = run(capsys, "bounds", "--tuple", "1,1", "--n", "12345678901234567891")

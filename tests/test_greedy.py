@@ -217,6 +217,28 @@ def test_one_sieve_advanced_in_steps(rule):
         assert sieve.advance(*caps) == generate(e, rule, *caps)
 
 
+# Six to eight coefficients in repeated groups: one new term fills many
+# different slot sets, and the window state enumerates many slots.
+@pytest.mark.parametrize("coeffs, rule, max_value", [
+    ((1,) * 7, D, 45), ((1,) * 8, D, 45), ((1, 1, 1, 2, 2, 2), D, 60), ((1, 1, 2, 2, 4, 4), D, 45),
+    ((1, 1, 1, 1, 2, 2, 2, 2), D, 40),
+    ((1,) * 7, N, 600), ((1,) * 8, N, 700), ((1, 1, 1, 2, 2, 2), N, 400), ((1, 1, 2, 2, 4, 4), N, 400),
+    ((1, 1, 1, 1, 2, 2, 2, 2), N, 400),
+])
+def test_sieve_matches_naive_on_repeated_groups(coeffs, rule, max_value):
+    e = CoefficientTuple(coeffs)
+    expected = naive_generate(e, rule, max_value)
+    assert list(generate(e, rule, max_value=max_value).terms) == expected
+    assert list(extend(generate(e, rule, max_value=0), max_value=max_value).terms) == expected  # the window state
+
+
+def test_not_all_equal_at_large_m():
+    """63 coefficients of 1: the sieve's set-up stays small, and the terms are
+    the zero-one digit set in base 64."""
+    e = CoefficientTuple.uniform(64)
+    assert generate(e, N, max_value=5000).terms == (0, 1, 64, 65, 4096, 4097, 4160, 4161)
+
+
 def test_pair_tuple_across_the_1024_gap():
     """(1,1) to 1,100 terms: the n-th term is n's binary digits read in base 3."""
     seq = generate(CoefficientTuple((1, 1)), D, max_terms=1100)

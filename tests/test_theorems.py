@@ -331,7 +331,8 @@ class TestFamilyParameters:
 
 
 class TestFamilyPrefix:
-    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    # 24, 40 and 64: the sieve's set-up grows with the coefficient groups, not with 2^m.
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 24, 40, 64])
     def test_prefixes(self, m):
         assert verify_family_prefix(m)
 

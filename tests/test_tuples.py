@@ -6,13 +6,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonavg import (
+    ClosedForm,
     CoefficientTuple,
     InvalidTuple,
+    check_residue_completeness,
+    check_scale_identity,
+    count_zero_one_below,
+    count_zero_one_below_dp,
+    discover_closed_form,
     is_valid,
     is_valid_by_cover,
     subset_sum_table,
     weight,
+    zero_one_contains,
+    zero_one_nth,
 )
+from nonavg.closedform import zero_one_prefix
 
 
 def brute_subset_sums(values):
@@ -137,3 +146,23 @@ class TestSubsetSumTable:
     def test_deterministic(self):
         e = CoefficientTuple((1, 1, 2, 4))
         assert subset_sum_table(e).entries == subset_sum_table(e).entries
+
+
+def test_every_validity_gate_raises_one_error():
+    """Each function that needs a valid tuple rejects (1,1,3) with the same message."""
+    bad = CoefficientTuple((1, 1, 3))
+    calls = [
+        lambda: subset_sum_table(bad),
+        lambda: zero_one_nth(bad, 1),
+        lambda: list(zero_one_prefix(bad, 1)),
+        lambda: zero_one_contains(bad, 1),
+        lambda: count_zero_one_below(bad, 5),
+        lambda: count_zero_one_below_dp(bad, 5),
+        lambda: ClosedForm(6, 1, [0], bad),
+        lambda: check_scale_identity(bad, (0,), 1),
+        lambda: check_residue_completeness(bad, (0,), 1),
+        lambda: discover_closed_form(bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidTuple, match=r"^CoefficientTuple\(1,1,3\) is not valid$"):
+            call()
