@@ -9,6 +9,7 @@ NONAVG_NODE_BUDGET overrides the default solver node budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,13 +27,15 @@ EXIT_BUDGET = 2
 MAX_N_DIGITS = 4300
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="nonavg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="greedy sequence generation")
     gen.add_argument("--tuple", required=True, dest="tuple_text")
-    gen.add_argument("--rule", default="distinct", choices=["distinct", "notallequal"])
+    gen.add_argument("--rule", default="distinct", choices=[r.value for r in AvoidanceRule])
     gen.add_argument("--max-terms", type=int, default=None)
     gen.add_argument("--max-value", type=int, default=None)
     gen.add_argument("--format", default="plain", choices=["json", "csv", "plain"])

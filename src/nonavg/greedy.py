@@ -22,8 +22,6 @@ from .errors import BudgetExhausted
 from .solver import AvoidanceRule, _Budget, _iter_assignments, creates_solution
 from .tuples import CoefficientTuple, coefficient_groups
 
-CACHE_RULE_TEXT = {AvoidanceRule.DISTINCT: "distinct", AvoidanceRule.NOT_ALL_EQUAL: "notallequal"}
-
 # The sieve's window of candidates starts this wide and doubles at each
 # refill, up to WINDOW_MAX bytes of forbidden-value flags.
 WINDOW_START = 64
@@ -460,7 +458,7 @@ def write_cache(path, seq: GreedySequence):
     over it, so a reader sees the old cache or the new one, never a part.
     """
     header = (
-        f"# tuple={seq.coefficients.text()} rule={CACHE_RULE_TEXT[seq.rule]} "
+        f"# tuple={seq.coefficients.text()} rule={seq.rule.value} "
         f"frontier={seq.frontier}\n"
     )
     tmp = f"{path}.{os.getpid()}.tmp"

@@ -24,7 +24,7 @@ from .closedform import ClosedForm
 from .errors import BudgetExhausted, UnsupportedM
 from .greedy import GreedySequence, Sieve, generate
 from .solver import DEFAULT_NODE_BUDGET, AvoidanceRule, relaxed_representation
-from .tuples import CoefficientTuple, require_valid
+from .tuples import CoefficientTuple, coefficient_groups, require_valid
 
 
 @dataclass(frozen=True)
@@ -103,26 +103,26 @@ def _assignment_table(coeffs, residues):
     """dict sum -> stored assignments of pairwise distinct residues to positions
     weighted by ``coeffs``.
 
-    Assignments are met in lexicographic order, built position by position
-    from the residues not used yet.  One is stored only while it shrinks the
-    intersection of the stored value sets, so for every single value v the
-    first stored assignment avoiding v is the lexicographically first with
-    that sum avoiding v, whenever one exists.
+    Assignments are met in lexicographic order, built one coefficient group
+    at a time: each group takes one increasing combination of the residues
+    not used yet.  Any other order inside a group has the same sum and value
+    set and comes later, so it could never be stored.  One is stored only
+    while it shrinks the intersection of the stored value sets, so for every
+    single value v the first stored assignment avoiding v is the
+    lexicographically first with that sum avoiding v, whenever one exists.
+    The last group is streamed, never built as a list.
     """
-    if not coeffs:
-        return {0: [()]}
+    *head, (last, n) = coefficient_groups(coeffs) or [(0, 0)]
     prefixes = [((), 0)]
-    for c in coeffs[:-1]:
-        prefixes = [(vals + (v,), acc + c * v) for vals, acc in prefixes for v in residues if v not in vals]
-    last = coeffs[-1]
+    for c, k in head:
+        prefixes = [(vals + combo, acc + c * sum(combo)) for vals, acc in prefixes
+                    for combo in combinations([v for v in residues if v not in vals], k)]
     out = {}
     inter = {}
     for vals, acc in prefixes:
-        for v in residues:
-            if v in vals:
-                continue
-            s = acc + last * v
-            values = vals + (v,)
+        for combo in combinations([v for v in residues if v not in vals], n):
+            s = acc + last * sum(combo)
+            values = vals + combo
             kept = inter.get(s)
             if kept is None:
                 out[s] = [values]

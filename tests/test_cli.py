@@ -1,11 +1,15 @@
 """Command-line front end: formats, exit codes, caches, budget handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nonavg
 from nonavg import KNOWN_CLOSED_FORMS
-from nonavg.cli import main
+from nonavg.cli import _build_parser, main
 
 S3_17 = [0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40, 81]
 
@@ -201,6 +205,11 @@ class TestVerify:
         assert code == 0 and len(rows) == 19
         assert out == "".join(f"PASS catalog row {row}\n" for row in rows)
 
+    def test_table2_row_of_ten_ones(self, capsys):
+        """Not a catalog row: discovery finds the all-ones family's form."""
+        code, out, _ = run(capsys, "verify", "table2", "--rows", "1,1,1,1,1,1,1,1,1")
+        assert (code, out) == (0, "PASS closed form exists for 1,1,1,1,1,1,1,1,1\n")
+
     def test_table2_row_without_a_closed_form(self, capsys):
         code, out, _ = run(capsys, "verify", "table2", "--rows", "1,1,2,2", "--max-frontier", "100")
         assert code == 1 and out == "FAIL closed form exists for 1,1,2,2\n"
@@ -298,3 +307,31 @@ class TestBounds:
     def test_missing_n(self, capsys):
         code, out, err = run(capsys, "bounds", "--tuple", "1,1")
         assert (code, out, err) == (1, "", "bounds: need --n\n")
+
+
+class TestParserReuse:
+    """The parser is built once per process; reusing it changes no output."""
+
+    @staticmethod
+    def fresh(*argv):
+        src = os.path.dirname(os.path.dirname(nonavg.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonavg.cli", *argv], capture_output=True, text=True, env=env, check=False
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_one_process_matches_separate_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap at the terminal width
+        calls = [
+            ("generate", "--tuple", "1,1", "--rule", "sometimes", "--max-terms", "3"),
+            ("bounds", "--tuple", "1,1", "--n", "81"),
+            ("--help",),
+        ]
+        in_process = [run(capsys, *argv) for argv in calls]
+        assert in_process == [self.fresh(*argv) for argv in calls]
+        assert [code for code, _, _ in in_process] == [1, 0, 0]
+        assert "invalid choice: 'sometimes' (choose from 'distinct', 'notallequal')" in in_process[0][2]

@@ -25,6 +25,7 @@ from nonavg import (
     validate_cell,
     verify_family_prefix,
 )
+from nonavg.theorems import CellResult, _assignment_table
 
 E4 = CoefficientTuple((1, 1, 1))
 
@@ -109,6 +110,67 @@ class TestResidueCompleteness:
         )
 
 
+E5 = CoefficientTuple((1, 1, 1, 1))
+
+
+def _rebalanced(cell):
+    """cell with r1 chosen so that its equation balances."""
+    *vals, r_m = cell.residues
+    return cell._replace(r1=E5.weight * r_m - sum(c * v for c, v in zip(E5.coeffs[1:], vals)))
+
+
+def _with_value(cell, position, value):
+    """cell with the residue at ``position`` (2..m-1) replaced, rebalanced."""
+    residues = list(cell.residues)
+    residues[position - 2] = value
+    return _rebalanced(cell._replace(residues=tuple(residues)))
+
+
+class TestValidateCellRejects:
+    """Each way a recorded cell can break its constraint list, applied to a
+    passing cell of the (1,1,1,1) catalog report."""
+
+    scale, residues = KNOWN_CLOSED_FORMS[(1, 1, 1, 1)]
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        report = check_residue_completeness(E5, self.residues, self.scale)
+        assert report.overall
+        return report.cells
+
+    def passing(self, cells, j):
+        cell = next(c for c in cells if c.j == j and len(set(c.residues)) == len(c.residues))
+        assert validate_cell(E5, cell, self.residues) and _rebalanced(cell) == cell
+        return cell
+
+    def test_none_cell(self, cells):
+        cell = self.passing(cells, 1)
+        assert not validate_cell(E5, CellResult(cell.r1, cell.j, None, None), self.residues)
+
+    def test_residue_outside_the_set(self, cells):
+        cell = self.passing(cells, 1)
+        assert 6 not in self.residues
+        assert not validate_cell(E5, _with_value(cell, 2, 6), self.residues)
+
+    def test_subset_sum_is_not_j(self, cells):
+        cell = self.passing(cells, 1)
+        assert not validate_cell(E5, cell._replace(j=2), self.residues)
+
+    def test_unbalanced_equation(self, cells):
+        cell = self.passing(cells, 1)
+        assert not validate_cell(E5, cell._replace(r1=cell.r1 + 1), self.residues)
+
+    def test_repeat_inside_the_subset(self, cells):
+        cell = self.passing(cells, 1)
+        (position,) = cell.subset
+        assert not validate_cell(E5, _with_value(cell, position, cell.residues[-1]), self.residues)
+
+    def test_repeat_outside_the_subset(self, cells):
+        cell = self.passing(cells, 0)
+        assert cell.subset == ()
+        assert not validate_cell(E5, _with_value(cell, 3, cell.residues[0]), self.residues)
+
+
 def reference_report(coeffs, residues, scale):
     """The completeness report from the definitions, by brute force.
 
@@ -191,6 +253,52 @@ def valid_tuples(draw, max_len=5):
 def test_completeness_matches_brute_force_reference(coeffs, residues, scale):
     report = check_residue_completeness(CoefficientTuple(coeffs), residues, scale)
     assert report.to_json_dict() == reference_report(coeffs, residues, scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(1, 1, 1, 1, 1), (1, 1, 1, 1, 2), (1, 1, 2, 2, 2), (1, 1, 1, 1, 1, 1)]),
+    st.lists(st.integers(min_value=-3, max_value=39), min_size=1, max_size=7, unique=True),
+    st.integers(min_value=1, max_value=120),
+)
+def test_completeness_with_runs_matches_brute_force_reference(coeffs, residues, scale):
+    """Runs of three or more equal coefficients at positions 2..m-1, where
+    the tables take one combination per run."""
+    report = check_residue_completeness(CoefficientTuple(coeffs), residues, scale)
+    assert report.to_json_dict() == reference_report(coeffs, residues, scale)
+
+
+@st.composite
+def keys_with_runs(draw):
+    """A key of up to five positions made of runs of equal coefficients, and
+    sorted residues, at least one and at least as many as the key has positions."""
+    key = ()
+    while len(key) < 5 and draw(st.booleans()):
+        run = draw(st.integers(min_value=1, max_value=5 - len(key)))
+        key += (draw(st.integers(min_value=1, max_value=4)),) * run
+    size = max(len(key), 1)
+    residues = draw(st.lists(st.integers(min_value=-5, max_value=59), min_size=size, max_size=size + 2, unique=True))
+    return key, sorted(residues)
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys_with_runs())
+def test_assignment_table_contract(drawn):
+    """The first stored assignment per sum, and the first one avoiding each
+    value, are the lexicographically first permutations that qualify."""
+    key, rs = drawn
+    table = _assignment_table(key, rs)
+    first, first_avoiding = {}, {}
+    for vals in permutations(rs, len(key)):  # lexicographic, since rs is sorted
+        s = sum(c * v for c, v in zip(key, vals))
+        first.setdefault(s, vals)
+        for v in rs:
+            if v not in vals:
+                first_avoiding.setdefault((s, v), vals)
+    assert {s: stored[0] for s, stored in table.items()} == first
+    for s, stored in table.items():
+        for v in rs:
+            assert next((a for a in stored if v not in a), None) == first_avoiding.get((s, v)), (s, v)
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, 1, 2), (1, 1, 1, 1), (1, 1, 2, 3)])
@@ -305,6 +413,17 @@ def test_discovery_reproduces_catalog_all_rows():
         assert (cf.scale, cf.residues) == (scale, residues), coeffs
         assert report.overall, coeffs
         assert all(validate_cell(e, cell, report.residues) for cell in report.cells), coeffs
+
+
+
+@pytest.mark.parametrize("m", range(8, 13))
+def test_discovery_finds_the_all_ones_family(m):
+    """Discovery on the all-ones tuples returns the family's closed form; the
+    completeness tables take one combination per run of equal coefficients,
+    so m = 9..12 finish in well under a second."""
+    cf, report = discover_closed_form(CoefficientTuple.uniform(m))
+    assert (cf.scale, cf.residues) == uniform_family_parameters(m)
+    assert report.overall
 
 
 class TestFamilyParameters:
