@@ -301,6 +301,14 @@ def _run_bounds(args, out) -> int:
     return EXIT_OK
 
 
+_RUNNERS = {
+    "generate": _run_generate,
+    "discover": _run_discover,
+    "verify": _run_verify,
+    "bounds": _run_bounds,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -309,18 +317,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     out = sys.stdout
     try:
-        if args.command == "generate":
-            return _run_generate(args, out)
-        if args.command == "discover":
-            return _run_discover(args, out)
-        if args.command == "verify":
-            return _run_verify(args, out)
-        if args.command == "bounds":
-            return _run_bounds(args, out)
+        return _RUNNERS[args.command](args, out)
     except (InvalidTuple, UnsupportedM, ValueError, OverflowError) as exc:
         print(f"nonavg: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -210,8 +210,8 @@ def count_zero_one_below_dp(coefficients: CoefficientTuple, n: int) -> int:
 class ClosedForm:
     """Members are scale * v + r, v with 0/1 digits in the base, r a residue.
 
-    Residues are stored sorted and deduplicated; they must include 0 and stay
-    below the scale, which makes ``nth`` strictly increasing.
+    Residues are stored sorted and deduplicated; they must include 0 as the
+    least and stay below the scale, which makes ``nth`` strictly increasing.
     """
 
     __slots__ = ("base", "scale", "residues", "coefficients")
@@ -226,8 +226,6 @@ class ClosedForm:
             raise ValueError("residues must include 0")
         if rs[-1] >= scale:
             raise ValueError("residues must be below the scale")
-        if any(r < 0 for r in rs):
-            raise ValueError("residues must be nonnegative")
         if coefficients is not None:
             require_valid(coefficients)
             if coefficients.base != base:

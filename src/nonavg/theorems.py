@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
@@ -136,39 +137,46 @@ def _assignment_table(coeffs, residues):
 
 
 def _slack_plans(coeffs_at, d, residues):
-    """Per slack j, the search plan of every position subset of coefficient sum j.
+    """Per slack j, one search plan per inside coefficient key of sum j, and
+    the number of position subsets of sum j.
 
-    A plan is (subset, inside sums ascending, their stored assignments,
-    outside table, least and greatest outside sum, reorder, memo):
-    ``reorder`` puts inside-then-outside values back in position order, and
-    ``memo`` caches the first stored inside assignment avoiding a given r_m.
-    Subsets come in size-then-lexicographic order.  Tables depend only on
-    the coefficients of their positions, so equal ones are built once.
+    Subsets come in size-then-lexicographic order, and a plan is made for the
+    first subset with each inside key: later ones have the same tables, so
+    they find a witness exactly when it does.  A plan is (subset, number of
+    slack-j subsets up to and including it, inside sums ascending, their
+    stored assignments, outside table, least and greatest outside sum,
+    reorder, memo): ``reorder`` puts inside-then-outside values back in
+    position order, and ``memo`` caches the first stored inside assignment
+    avoiding a given r_m.  Tables depend only on the coefficients of their
+    positions, so equal ones are built once.
     """
     npos = len(coeffs_at)
-    tables = {}
 
-    def table(indices):
-        key = tuple(coeffs_at[i] for i in indices)
-        if key not in tables:
-            tables[key] = _assignment_table(key, residues)
-        return tables[key]
+    @cache
+    def table(key):
+        return _assignment_table(key, residues)
 
-    plans = [[] for _ in range(d - 1)]
+    plans = [{} for _ in range(d - 1)]
+    counts = [0] * (d - 1)
     for size in range(npos + 1):
         for inside in combinations(range(npos), size):
-            j = sum(coeffs_at[i] for i in inside)
+            key = tuple(coeffs_at[i] for i in inside)
+            j = sum(key)
             if j > d - 2:
                 continue
+            counts[j] += 1
+            if key in plans[j]:
+                continue
             outside = tuple(i for i in range(npos) if i not in inside)
-            in_table, out_table = table(inside), table(outside)
+            in_table, out_table = table(key), table(tuple(coeffs_at[i] for i in outside))
             in_sums = sorted(in_table) if out_table else []  # no witness without an outside assignment
             order = inside + outside
             # itemgetter of a single index returns a bare value; up to one
             # position needs no reordering.
             reorder = itemgetter(*(order.index(p) for p in range(npos))) if npos > 1 else tuple
-            plans[j].append((
+            plans[j][key] = (
                 tuple(i + 2 for i in inside),
+                counts[j],
                 in_sums,
                 [in_table[s] for s in in_sums],
                 out_table,
@@ -176,8 +184,8 @@ def _slack_plans(coeffs_at, d, residues):
                 max(out_table, default=0),
                 reorder,
                 {},
-            ))
-    return plans
+            )
+    return [list(slack_plans.values()) for slack_plans in plans], counts
 
 
 def check_residue_completeness(coefficients, residues, scale, node_budget=None) -> ConditionReport:
@@ -187,15 +195,18 @@ def check_residue_completeness(coefficients, residues, scale, node_budget=None) 
     order, then smallest inside sum, whose inside assignment is the
     lexicographically first avoiding the averaged residue and whose outside
     assignment is the lexicographically first with the remaining sum.  A
-    node is one (cell, averaged residue, subset) step.
+    node is one (cell, averaged residue, subset) step: a pass over one
+    averaged residue spends the subsets up to the one that succeeds, or all
+    subsets of the slack when none does.
     """
     require_valid(coefficients)
     coeffs = coefficients.coeffs
     d = coefficients.weight
     m = coefficients.m
     rs = tuple(sorted(set(residues)))
-    cap = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    plans = _slack_plans(coeffs[1 : m - 1], d, rs)
+    # a negative budget stops at the first node, as a budget of 0 does
+    cap = DEFAULT_NODE_BUDGET if node_budget is None else max(node_budget, 0)
+    plans, counts = _slack_plans(coeffs[1 : m - 1], d, rs)
     cond_i = check_scale_identity(coefficients, rs, scale)
 
     drs = [d * r for r in rs]
@@ -208,12 +219,7 @@ def check_residue_completeness(coefficients, residues, scale, node_budget=None) 
             for k in range(first, len(rs)):
                 r_m = rs[k]
                 needed = drs[k] - r1
-                for subset, in_sums, in_stored, out_table, lo_out, hi_out, reorder, memo in slack_plans:
-                    nodes += 1
-                    if nodes > cap:
-                        raise BudgetExhausted(
-                            nodes, where=f"residue completeness at scale {scale}, cell (r1={r1}, j={j})"
-                        )
+                for subset, upto, in_sums, in_stored, out_table, lo_out, hi_out, reorder, memo in slack_plans:
                     top = needed - lo_out
                     for i in range(bisect_left(in_sums, needed - hi_out), len(in_sums)):
                         s_in = in_sums[i]
@@ -233,6 +239,12 @@ def check_residue_completeness(coefficients, residues, scale, node_budget=None) 
                             break
                     if found is not None:
                         break
+                # a hit spends the subsets up to its plan's H, a miss all of the slack's
+                nodes += counts[j] if found is None else upto
+                if nodes > cap:  # the nodes ran out inside this pass, one past the cap
+                    raise BudgetExhausted(
+                        cap + 1, where=f"residue completeness at scale {scale}, cell (r1={r1}, j={j})"
+                    )
                 if found is not None:
                     break
             cells.append(found or CellResult(r1, j, None, None))

@@ -113,6 +113,15 @@ class TestGenerate:
         assert err == f"generate: ignoring cache {cache}: cache terms are not strictly increasing\n"
         assert cache.read_text() == "# tuple=1,1 rule=distinct frontier=10\n0\n1\n3\n4\n9\n10\n"
 
+    def test_cache_without_header_is_reported_and_replaced(self, capsys, tmp_path):
+        cache = tmp_path / "s3.cache"
+        cache.write_text("0\n1\n3\n")
+        code, out, err = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "6", "--cache", str(cache))
+        assert code == 0
+        assert [int(v) for v in out.split()] == S3_17[:6]
+        assert err == f"generate: ignoring cache {cache}: missing cache header\n"
+        assert cache.read_text() == "# tuple=1,1 rule=distinct frontier=10\n0\n1\n3\n4\n9\n10\n"
+
     def test_budget_exhaustion_flushes_partial_to_the_cache(self, capsys, tmp_path):
         cache = tmp_path / "s3.cache"
         run(capsys, "generate", "--tuple", "1,1", "--max-terms", "6", "--cache", str(cache))
@@ -261,6 +270,10 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", "--cf", "c=12 base=4 R=0,1,2,3,4", "--n", "48")
         assert code == 0
         assert json.loads(out)["exact"] == 10
+
+    def test_cf_with_a_negative_residue(self, capsys):
+        code, out, err = run(capsys, "bounds", "--cf", "c=12 base=4 R=-1,0,1", "--n", "48")
+        assert (code, out, err) == (1, "", "nonavg: residues must include 0\n")
 
     def test_scientific_n(self, capsys):
         code, out, _ = run(capsys, "bounds", "--section4", "--n", "1e10")

@@ -131,6 +131,31 @@ class TestClosedFormType:
         assert CF12.text() == "c=12 base=4 R=0,1,2,3,4"
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: decompose(-1, 4, 12), "x must be nonnegative"),
+        (lambda: decompose(5, 1, 12), "base must be at least 2"),
+        (lambda: decompose(5, 4, 0), "scale must be positive"),
+        (lambda: zero_one_nth(E4, -1), "index must be nonnegative"),
+        (lambda: CF12.nth(-1), "index must be nonnegative"),
+        (lambda: ClosedForm.from_text("c=x base=4 R=0"), "cannot parse closed form 'c=x base=4 R=0'"),
+        (lambda: ClosedForm(1, 12, [0]), "base must be at least 2"),
+        (lambda: ClosedForm(4, 0, [0]), "scale must be positive"),
+        # a negative residue sorts first, so the set lacks 0 in its place
+        (lambda: ClosedForm(4, 12, (-1, 0, 1)), "residues must include 0"),
+    ],
+    ids=[
+        "decompose-negative-x", "decompose-base-1", "decompose-scale-0", "zero-one-nth-negative",
+        "nth-negative", "unparsable-text", "base-1", "scale-0", "negative-residue",
+    ],
+)
+def test_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestNth:
     def test_examples(self):
         assert CF12.nth(5) == 12

@@ -1,5 +1,7 @@
 """Greedy generation vs the naive oracle, resumability, and cache files."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -280,6 +282,12 @@ def test_monotone_determinism():
         assert generate(e, D, max_terms=k).terms == long.terms[:k]
 
 
+def test_skip_witness_rejects_a_term():
+    seq = generate(CoefficientTuple((1, 1)), D, max_terms=5)
+    with pytest.raises(ValueError, match="^3 is a term, not a skip$"):
+        skip_witness(seq, 3)
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "seq.cache"
@@ -310,6 +318,26 @@ class TestCache:
         path.write_text("# tuple=1,1 rule=distinct " + body)
         with pytest.raises(ValueError, match=reason):
             read_cache(path)
+
+    def test_missing_header_is_rejected(self, tmp_path):
+        path = tmp_path / "bad.cache"
+        path.write_text("0\n1\n3\n")
+        with pytest.raises(ValueError, match="^missing cache header$"):
+            read_cache(path)
+
+    def test_failed_rename_keeps_the_old_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "seq.cache"
+        write_cache(path, generate(CoefficientTuple((1, 1)), D, max_terms=9))
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write_cache(path, generate(CoefficientTuple((1, 1)), D, max_terms=12))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["seq.cache"]
 
     def test_missing_header_field_is_rejected(self, tmp_path):
         path = tmp_path / "bad.cache"

@@ -45,6 +45,19 @@ def ref_creates(ground, candidate, coefficients, rule):
     return ref_solution_exists(set(ground) | {candidate}, coefficients, rule)
 
 
+@pytest.mark.parametrize(
+    "values", [(0, 2, 1), (0, 2), (0, -2, -1), (0, 2, 3)], ids=["valid", "wrong-length", "negative", "unbalanced"]
+)
+def test_witness_satisfies(values):
+    """(0, -2, -1) balances and is distinct, so only its sign rejects it."""
+    assert witness_satisfies(values, CoefficientTuple((1, 1)), D) == (values == (0, 2, 1))
+
+
+def test_unknown_rule_text():
+    with pytest.raises(ValueError, match=r"^unknown rule 'sometimes' \(expected distinct or notallequal\)$"):
+        AvoidanceRule.from_text("sometimes")
+
+
 class TestCreatesSolution:
     def test_example_pair_progression(self):
         w = creates_solution([0, 1], 2, CoefficientTuple((1, 1)), D)

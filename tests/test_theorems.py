@@ -49,6 +49,10 @@ class TestScaleIdentity:
         with pytest.raises(InvalidTuple):
             check_scale_identity(CoefficientTuple((1, 1, 3)), [0], 1)
 
+    def test_requires_residues(self):
+        with pytest.raises(ValueError, match="residues must be nonempty"):
+            check_scale_identity(E4, [], 1)
+
 
 class TestResidueCompleteness:
     def test_example_scale_12_passes(self):
@@ -172,7 +176,14 @@ class TestValidateCellRejects:
 
 
 def reference_report(coeffs, residues, scale):
-    """The completeness report from the definitions, by brute force.
+    """The completeness report from the definitions, by brute force; see
+    ``reference_search``."""
+    return reference_search(coeffs, residues, scale)[0]
+
+
+def reference_search(coeffs, residues, scale):
+    """The completeness report from the definitions, by brute force, and per
+    cell ((r1, j), the number of (r_m, H) options it visits).
 
     Shares no code with ``nonavg.theorems``.  Cell (r1, j) takes the least
     averaged residue r_m with d*r_m >= r1, then the first position subset H
@@ -212,11 +223,14 @@ def reference_report(coeffs, residues, scale):
                             found.setdefault(s_in + s_out, (vals, out_vals))
 
     cells = []
+    visits = []
     for r1 in range(scale):
         for j in range(d - 1):
             cell = {"r1": r1, "j": j, "H": None, "witness": None}
             options = ((h, r_m) for r_m in rs if d * r_m >= r1 for h in subsets[j])
+            visited = 0
             for h, r_m in options:
+                visited += 1
                 if d * r_m - r1 in hits[h, r_m]:
                     vals, out_vals = hits[h, r_m][d * r_m - r1]
                     by_position = dict(zip(h, vals))
@@ -224,6 +238,7 @@ def reference_report(coeffs, residues, scale):
                     cell = {"r1": r1, "j": j, "H": list(h), "witness": [by_position[p] for p in positions] + [r_m]}
                     break
             cells.append(cell)
+            visits.append(((r1, j), visited))
     rhs = 1 + d * max(rs) - sum(weight[k] * (m - k - 1) for k in positions)
     return {
         "tuple": ",".join(map(str, coeffs)),
@@ -232,7 +247,7 @@ def reference_report(coeffs, residues, scale):
         "cond_i": {"lhs": scale, "rhs": rhs, "pass": scale == rhs},
         "cond_ii": cells,
         "overall": scale == rhs and all(cell["witness"] is not None for cell in cells),
-    }
+    }, visits
 
 
 @st.composite
@@ -266,6 +281,25 @@ def test_completeness_with_runs_matches_brute_force_reference(coeffs, residues, 
     the tables take one combination per run."""
     report = check_residue_completeness(CoefficientTuple(coeffs), residues, scale)
     assert report.to_json_dict() == reference_report(coeffs, residues, scale)
+
+
+@pytest.mark.parametrize(
+    "coeffs,residues,scale",
+    [((1, 1, 1, 1, 1), (0, 1, 2, 4), 9), ((1, 1, 1, 2, 2), (0, 1, 2, 5), 10), ((1, 1, 2, 2, 2), (0, 1, 3, 4), 11)],
+)
+def test_budget_sweep_matches_reference_node_counts(coeffs, residues, scale):
+    """A node is one (cell, r_m, H) option in the reference's order, so every
+    budget below the total stops one node past it, in the cell where the
+    reference's running count first passes the budget."""
+    report, visits = reference_search(coeffs, residues, scale)
+    stops = [cell for cell, visited in visits for _ in range(visited)]  # stops[b]: the cell of node b + 1
+    e = CoefficientTuple(coeffs)
+    for b, (r1, j) in enumerate(stops):
+        with pytest.raises(BudgetExhausted) as info:
+            check_residue_completeness(e, residues, scale, node_budget=b)
+        assert info.value.nodes == b + 1
+        assert info.value.where == f"residue completeness at scale {scale}, cell (r1={r1}, j={j})"
+    assert check_residue_completeness(e, residues, scale, node_budget=len(stops)).to_json_dict() == report
 
 
 @st.composite
@@ -416,11 +450,12 @@ def test_discovery_reproduces_catalog_all_rows():
 
 
 
-@pytest.mark.parametrize("m", range(8, 13))
+@pytest.mark.parametrize("m", [*range(8, 13), 14, 16])
 def test_discovery_finds_the_all_ones_family(m):
     """Discovery on the all-ones tuples returns the family's closed form; the
-    completeness tables take one combination per run of equal coefficients,
-    so m = 9..12 finish in well under a second."""
+    completeness tables take one combination per run of equal coefficients
+    and the search one plan per inside coefficient key, so m = 9..12, 14 and
+    16 finish in well under a second."""
     cf, report = discover_closed_form(CoefficientTuple.uniform(m))
     assert (cf.scale, cf.residues) == uniform_family_parameters(m)
     assert report.overall

@@ -43,7 +43,7 @@ class TestConstruction:
         for perm in itertools.islice(itertools.permutations(values), 24):
             assert CoefficientTuple(perm).coeffs == base.coeffs
 
-    @pytest.mark.parametrize("bad", [(), (1,), (0, 1), (-1, 2), (1, 2 ** 63)])
+    @pytest.mark.parametrize("bad", [(), (1,), (0, 1), (-1, 2), (1, 2 ** 63), (1, 1.5)])
     def test_rejects_malformed(self, bad):
         with pytest.raises(InvalidTuple):
             CoefficientTuple(bad)
@@ -59,6 +59,10 @@ class TestConstruction:
 
     def test_uniform(self):
         assert CoefficientTuple.uniform(5).coeffs == (1, 1, 1, 1)
+
+    def test_uniform_needs_three_terms(self):
+        with pytest.raises(InvalidTuple, match="uniform tuples need m >= 3"):
+            CoefficientTuple.uniform(2)
 
 
 class TestWeight:
