@@ -1,5 +1,6 @@
 """Greedy generation vs the naive oracle, resumability, and cache files."""
 
+import hashlib
 import os
 
 import pytest
@@ -83,6 +84,43 @@ class TestGenerate:
                         assert exc.partial.terms == want.terms[:len(exc.partial.terms)]
                 assert stops, (coeffs, budget, start)
                 assert sieve.advance(max_terms=30) == want
+
+
+# Valid tuples for the budget digest: catalog rows from m = 3 to m = 6.
+BUDGET_DIGEST_TUPLES = [(1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 1, 1), (1, 1, 2, 4), (1, 1, 2, 2, 5), (1, 1, 1, 2, 3)]
+# sha256 of every outcome in budget_digest_lines, recorded before the
+# sumset state's node counts moved from _Budget objects into locals.
+BUDGET_DIGEST = "f08df1c9dd30ea048125684dbb241a3eb8c38eadf0bad6cda760acd4d296e0b6"
+
+
+def budget_digest_lines():
+    """One line per generate call with a node budget: for each tuple, rule
+    and max_terms 8 and 20, every budget from -2 up to the first one that
+    completes; the terms and frontier, or the BudgetExhausted text, nodes
+    and partial prefix."""
+    for coeffs in BUDGET_DIGEST_TUPLES:
+        e = CoefficientTuple(coeffs)
+        for rule in (D, N):
+            for max_terms in (8, 20):
+                budget = -2
+                while True:
+                    key = (coeffs, rule.value, max_terms, budget)
+                    try:
+                        seq = generate(e, rule, max_terms=max_terms, node_budget=budget)
+                    except BudgetExhausted as exc:
+                        yield repr(key + (str(exc), exc.nodes, exc.partial.terms, exc.partial.frontier))
+                        budget += 1
+                        continue
+                    yield repr(key + (seq.terms, seq.frontier))
+                    break
+
+
+def test_budget_digest():
+    """Where the node budget stops a generation, and how it reports it, stay
+    byte for byte the same."""
+    lines = list(budget_digest_lines())
+    assert len(lines) == 1620
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BUDGET_DIGEST
 
 
 class TestExtend:
