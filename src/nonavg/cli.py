@@ -99,8 +99,7 @@ def _parse_n(text: str) -> int:
 
 def _emit_terms(seq, args, out):
     if args.format == "plain":
-        for t in seq.terms:
-            print(t, file=out)
+        out.write("".join(f"{t}\n" for t in seq.terms))
     elif args.format == "csv":
         if args.header:
             print("term", file=out)

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from operator import lt
+from typing import NamedTuple
 
 from .errors import BudgetExhausted
-from .solver import AvoidanceRule, _Budget, _iter_assignments, creates_solution
+from .solver import DEFAULT_NODE_BUDGET, AvoidanceRule, _Budget, _iter_assignments, creates_solution
 from .tuples import CoefficientTuple, coefficient_groups
 
 # The sieve's window of candidates starts this wide and doubles at each
@@ -68,6 +69,30 @@ def _open_roles(coeffs, distinct):
     return sorted(split for split in _splits(tuple(reversed(coeffs)), distinct) if split[1])
 
 
+class _SumsetLayout(NamedTuple):
+    """The bitset states of ``_SumsetSieve`` for one tuple and rule, indexed
+    by sub-multiset M of the roles' rest slots, shortest first (M = () is 0)."""
+
+    parts: tuple  # per state M: (w(B), index of M - B) for the slot sets B a new term fills
+    light: tuple  # the states of the sigma = 1 roles' rests
+    heavy: tuple  # (sigma, index of rest) for the sigma > 1 roles
+    update_nodes: int  # the nodes of one update that does not widen the bitsets
+
+
+@lru_cache(maxsize=256)
+def _sumset_layout(coeffs, distinct):
+    """The layout that every sumset sieve of this tuple and rule shares; it
+    holds only tuples, so no sieve can change another's."""
+    roles = _open_roles(coeffs, distinct)
+    rests = {rest for _, rest in roles}
+    states = sorted(rests.union(r for m in rests for _, r in _splits(m, False)), key=len)
+    index = {m: i for i, m in enumerate(states)}
+    parts = tuple(tuple((w, index[r]) for w, r in _splits(m, distinct)) for m in states)
+    light = tuple(index[rest] for sigma, rest in roles if sigma == 1)
+    heavy = tuple((sigma, index[rest]) for sigma, rest in roles if sigma > 1)
+    return _SumsetLayout(parts, light, heavy, sum(2 * len(p) + 1 for p in parts) + len(light))
+
+
 class Sieve:
     """Greedy scan state: the terms so far, the frontier (the highest integer
     decided) and what forbids the candidates above it.
@@ -96,7 +121,6 @@ class Sieve:
         self.terms = list(seq.terms)
         self.frontier = seq.frontier
         self.distinct = seq.rule is AvoidanceRule.DISTINCT
-        self.roles = _open_roles(seq.coefficients.coeffs, self.distinct)
 
     def sequence(self) -> GreedySequence:
         return GreedySequence(self.coefficients, self.rule, tuple(self.terms), self.frontier)
@@ -146,12 +170,13 @@ class _WindowSieve(Sieve):
         super().__init__(seq)
         self.terms_set = set(self.terms)
         d = seq.coefficients.weight
+        roles = _open_roles(seq.coefficients.coeffs, self.distinct)
         # Slots after sigma: the averaged value first, with coefficient -d.
-        self.role_slots = [(sigma, (-d,) + rest) for sigma, rest in self.roles]
+        self.role_slots = [(sigma, (-d,) + rest) for sigma, rest in roles]
         # Solutions that use a new term t in a left-hand slot of coefficient c:
         # (sigma, c, the other slots).
         self.uses = sorted({
-            (sigma, c, (-d,) + other) for sigma, rest in self.roles for c, other in _splits(rest, True)
+            (sigma, c, (-d,) + other) for sigma, rest in roles for c, other in _splits(rest, True)
         })
         self.lo = self.hi = seq.frontier + 1  # empty window: the first step refills
         self.width = WINDOW_START
@@ -243,36 +268,35 @@ class _SumsetSieve(Sieve):
 
     def __init__(self, seq: GreedySequence):
         super().__init__(seq)
-        rests = {rest for _, rest in self.roles}
-        states = sorted(rests.union(r for m in rests for _, r in _splits(m, False)), key=len)
-        index = {m: i for i, m in enumerate(states)}
-        # For each state M: (w(B), index of M - B) for the slot sets B a new term fills.
-        self.parts = [[(w, index[r]) for w, r in _splits(m, self.distinct)] for m in states]
-        self.light = [index[rest] for sigma, rest in self.roles if sigma == 1]
-        self.heavy = [(sigma, index[rest]) for sigma, rest in self.roles if sigma > 1]
-        self.update_nodes = sum(2 * len(p) + 1 for p in self.parts) + len(self.light)
+        self.layout = _sumset_layout(seq.coefficients.coeffs, self.distinct)
         self.top = 0
-        self.sums = [1] + [0] * (len(states) - 1)  # states[0] is the empty M: the sum 0
-        self.gaps = [0] * len(states)
+        self.sums = [1] + [0] * (len(self.layout.parts) - 1)  # state 0 is the empty M: the sum 0
+        self.gaps = [0] * len(self.layout.parts)
         self.open_gaps = 0  # the OR of the sigma = 1 roles' gaps
         self.pending = None  # an accepted term whose update the budget refused
 
     def _next(self, max_value, node_budget):
         if self.pending is not None:
             self._accept(self.pending, node_budget)
-        budget = _Budget(node_budget)
+        cap = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+        nodes = 0
         start = self.frontier + 1
         free = ~(self.open_gaps >> start)  # bit i set: start + i is open to the sigma = 1 roles
         gaps = self.gaps
+        heavy = self.layout.heavy
         while True:
-            budget.spend()
+            nodes += 1
+            if nodes > cap:
+                raise BudgetExhausted(nodes)
             low = free & -free
             n = start + low.bit_length() - 1
             if max_value is not None and n > max_value:
                 self.frontier = max_value
                 return None
-            for sigma, i in self.heavy:
-                budget.spend()
+            for sigma, i in heavy:
+                nodes += 1
+                if nodes > cap:
+                    raise BudgetExhausted(nodes)
                 if (gaps[i] >> sigma * n) & 1:
                     break
             else:
@@ -281,26 +305,38 @@ class _SumsetSieve(Sieve):
 
     def _accept(self, t, node_budget):
         self.pending = t
-        d = self.coefficients.weight
-        grow = d * t > self.top
-        _Budget(node_budget).spend(self.update_nodes + grow * len(self.sums))
+        parts, light, _, nodes = self.layout
+        dt = self.coefficients.weight * t
+        grow = dt > self.top
+        nodes += grow * len(parts)
+        if nodes > (DEFAULT_NODE_BUDGET if node_budget is None else node_budget):
+            raise BudgetExhausted(nodes)
         old = self.sums
         if grow:  # keep top >= d*t, so that every sum, at most (d - 1)*t, has a bit
-            shift = 2 * d * t - self.top
+            shift = 2 * dt - self.top
             self.top += shift
             old = [s << shift for s in old]
-        sums = list(old)
-        for i, parts in enumerate(self.parts):
-            for w, j in parts:
-                sums[i] |= old[j] >> w * t
-        down = self.top - d * t
-        gaps = [g | s >> down for g, s in zip(self.gaps, old if self.distinct else sums)]
-        for i, parts in enumerate(self.parts):
-            for w, j in parts:
-                gaps[i] |= self.gaps[j] >> w * t
-        for i in self.light:
-            self.open_gaps |= gaps[i]
-        self.sums, self.gaps = sums, gaps
+        down = self.top - dt
+        distinct = self.distinct
+        old_gaps = self.gaps
+        sums, gaps = [], []
+        # Per state the sums, then the gaps: interleaving the two per part
+        # made the C allocator return and refault heap pages around the big
+        # ints on long (1,1) runs (4,096 terms: 35,766 minor faults and
+        # 0.58 s, against 859 and 0.47 s in this order).
+        for s, g, p in zip(old, old_gaps, parts):
+            before = s
+            for w, j in p:
+                s |= old[j] >> w * t
+            g |= (before if distinct else s) >> down
+            for w, j in p:
+                g |= old_gaps[j] >> w * t
+            sums.append(s)
+            gaps.append(g)
+        open_gaps = self.open_gaps
+        for i in light:
+            open_gaps |= gaps[i]
+        self.sums, self.gaps, self.open_gaps = sums, gaps, open_gaps
         self.pending = None
 
 
@@ -457,15 +493,12 @@ def write_cache(path, seq: GreedySequence):
     The text goes to a temporary file beside ``path`` that is then renamed
     over it, so a reader sees the old cache or the new one, never a part.
     """
-    header = (
-        f"# tuple={seq.coefficients.text()} rule={seq.rule.value} "
-        f"frontier={seq.frontier}\n"
-    )
+    header = f"# tuple={seq.coefficients.text()} rule={seq.rule.value} frontier={seq.frontier}"
+    text = "\n".join([header, *map(str, seq.terms)]) + "\n"
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(header)
-            fh.writelines(f"{t}\n" for t in seq.terms)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -492,7 +525,8 @@ def read_cache(path) -> GreedySequence:
             frontier = int(fields["frontier"])
         except KeyError as exc:
             raise ValueError(f"cache header lacks {exc}") from None
-        terms = tuple(int(line) for line in fh if line.strip())
+        # split("\n"), not splitlines(), which would also split a line at \x0c or \x1c
+        terms = tuple(map(int, filter(str.strip, fh.read().split("\n"))))
     if not terms:
         if frontier >= 0:
             raise ValueError(f"cache holds no terms up to frontier {frontier}")

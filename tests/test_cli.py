@@ -12,6 +12,8 @@ from nonavg import KNOWN_CLOSED_FORMS
 from nonavg.cli import _build_parser, main
 
 S3_17 = [0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40, 81]
+S3_40_TEXT = ("0 1 3 4 9 10 12 13 27 28 30 31 36 37 39 40 81 82 84 85 90 91 93 94 108 109 111 112 117 118 "
+              "120 121 243 244 246 247 252 253 255 256")
 
 
 def run(capsys, *argv):
@@ -86,6 +88,20 @@ class TestGenerate:
         assert resumed == full
         header = open(cache).readline()
         assert header == "# tuple=1,1 rule=distinct frontier=81\n"
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("plain", S3_40_TEXT.replace(" ", "\n") + "\n"),
+        ("csv", S3_40_TEXT.replace(" ", ",") + "\n"),
+        ("json", '{"tuple": "1,1", "rule": "distinct", "frontier": 256, "terms": [%s]}\n'
+                 % S3_40_TEXT.replace(" ", ", ")),
+    ])
+    def test_output_bytes_with_and_without_cache(self, capsys, tmp_path, fmt, expected):
+        """stdout is the same text without a cache, when writing one, and
+        when reading it back."""
+        argv = ["generate", "--tuple", "1,1", "--max-terms", "40", "--format", fmt]
+        cache = str(tmp_path / "s3.cache")
+        for extra in ([], ["--cache", cache], ["--cache", cache]):
+            assert run(capsys, *argv, *extra) == (0, expected, "")
 
     def test_cache_mismatch_regenerates(self, capsys, tmp_path):
         cache = str(tmp_path / "seq.cache")

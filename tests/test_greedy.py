@@ -257,6 +257,29 @@ def test_one_sieve_advanced_in_steps(rule):
         assert sieve.advance(*caps) == generate(e, rule, *caps)
 
 
+def _frozen(value):
+    return isinstance(value, int) or isinstance(value, tuple) and all(map(_frozen, value))
+
+
+@pytest.mark.parametrize("rule", [D, N])
+def test_sumset_sieves_share_a_frozen_layout(rule):
+    """Sieves of one tuple and rule share one layout of tuples and ints, and
+    advancing one, through a refused update and a resume, leaves the other's
+    bitsets and next term as they were."""
+    e = CoefficientTuple((1, 1, 2))
+    a, b = (Sieve(GreedySequence(e, rule, (), -1)) for _ in range(2))
+    assert a.layout is b.layout
+    assert _frozen(a.layout)
+    b.advance(max_terms=3)
+    seen = (list(b.sums), list(b.gaps), b._next(None, None))
+    with pytest.raises(BudgetExhausted):
+        a.advance(max_terms=20, node_budget=a.layout.update_nodes - 1)
+    assert a.pending == 0
+    assert a.advance(max_terms=20) == generate(e, rule, max_terms=20)
+    assert (b.sums, b.gaps, b._next(None, None)) == seen
+    assert b.advance(max_terms=20) == generate(e, rule, max_terms=20)
+
+
 # Six to eight coefficients in repeated groups: one new term fills many
 # different slot sets, and the window state enumerates many slots.
 @pytest.mark.parametrize("coeffs, rule, max_value", [
@@ -331,10 +354,33 @@ class TestCache:
         path = tmp_path / "seq.cache"
         seq = generate(CoefficientTuple((1, 1)), D, max_terms=9)
         write_cache(path, seq)
-        text = path.read_text()
-        assert text.startswith("# tuple=1,1 rule=distinct frontier=27\n")
-        assert text.endswith("27\n")
+        assert path.read_bytes() == b"# tuple=1,1 rule=distinct frontier=27\n0\n1\n3\n4\n9\n10\n12\n13\n27\n"
         assert read_cache(path) == seq
+        empty = generate(CoefficientTuple((1, 1)), N, max_terms=0)
+        write_cache(path, empty)
+        assert path.read_bytes() == b"# tuple=1,1 rule=notallequal frontier=-1\n"
+        assert read_cache(path) == empty
+
+    @pytest.mark.parametrize("body", [
+        "0\n\n1\n\n\n3\n\n",  # blank lines
+        " 0\n1 \n\t3\t\n",  # spaces around a term
+        "0\r\n1\r\n3\r\n",  # CRLF line ends
+        "0\n1\n3",  # no final newline
+        "0\n+1\n3\n",  # a sign
+        "0\n1\n0_3\n",  # an underscore between digits
+    ])
+    def test_lenient_term_lines_are_accepted(self, tmp_path, body):
+        path = tmp_path / "seq.cache"
+        path.write_bytes(b"# tuple=1,1 rule=distinct frontier=3\n" + body.encode())
+        assert read_cache(path).terms == (0, 1, 3)
+
+    @pytest.mark.parametrize("line", ["1 2", "x", "5\x0c6"])
+    def test_a_line_that_is_not_one_integer_is_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.cache"
+        path.write_bytes(f"# tuple=1,1 rule=distinct frontier=9\n0\n{line}\n9\n".encode())
+        with pytest.raises(ValueError) as info:
+            read_cache(path)
+        assert str(info.value) == f"invalid literal for int() with base 10: {line!r}"
 
     def test_write_leaves_no_temporary_file(self, tmp_path):
         path = tmp_path / "seq.cache"
