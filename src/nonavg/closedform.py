@@ -133,6 +133,17 @@ def _zero_one_rank(x: int, base: int):
     return count, member
 
 
+def _is_zero_one(x: int, base: int) -> bool:
+    """Whether x >= 0 has only 0/1 digits: the walk of ``_zero_one_rank``,
+    stopped at the first chunk with a digit above 1."""
+    step, _, table = _rank_table(base)
+    while x:
+        x, c = divmod(x, step)
+        if c >= _TABLE_SIZE or table[c][1]:
+            return False
+    return True
+
+
 def zero_one_nth(coefficients: CoefficientTuple, n: int) -> int:
     """n-th member (0-indexed): write n in binary, read it in base weight+1."""
     require_valid(coefficients)
@@ -159,7 +170,7 @@ def zero_one_prefix(coefficients: CoefficientTuple, count: int):
 def zero_one_contains(coefficients: CoefficientTuple, x: int) -> bool:
     """True iff every base-(weight+1) digit of x is 0 or 1."""
     require_valid(coefficients)
-    return x >= 0 and _zero_one_rank(x, coefficients.base)[1]
+    return x >= 0 and _is_zero_one(x, coefficients.base)
 
 
 def _digits(x: int, base: int):
@@ -284,7 +295,7 @@ class ClosedForm:
         q, s = divmod(x, self.scale)
         rs = self.residues
         i = bisect_left(rs, s)
-        return i < len(rs) and rs[i] == s and _zero_one_rank(q, self.base)[1]
+        return i < len(rs) and rs[i] == s and _is_zero_one(q, self.base)
 
     def count_below(self, n: int) -> int:
         """Exact count of members strictly below n, by one digit walk.

@@ -263,7 +263,8 @@ class _SumsetSieve(Sieve):
     lookup of the next value the sigma = 1 roles leave open, or one bit
     test against a sigma > 1 role.  An update's node count is known before
     it starts and is spent first, so an update the budget refuses leaves
-    the bitsets as they were, and the next search applies it.
+    the bitsets as they were, and the next ``advance`` applies it before it
+    searches.
     """
 
     def __init__(self, seq: GreedySequence):
@@ -275,69 +276,90 @@ class _SumsetSieve(Sieve):
         self.open_gaps = 0  # the OR of the sigma = 1 roles' gaps
         self.pending = None  # an accepted term whose update the budget refused
 
-    def _next(self, max_value, node_budget):
-        if self.pending is not None:
-            self._accept(self.pending, node_budget)
+    def advance(self, max_terms=None, max_value=None, node_budget=None) -> GreedySequence:
+        """``Sieve.advance`` as one loop on local variables: the search for
+        the next term and the update for an accepted one run inline, and the
+        state goes back to the sieve once, when the loop returns or the
+        budget runs out."""
+        parts, light, heavy, update_nodes = self.layout
+        last = len(parts) - 1
+        d = self.coefficients.weight
+        distinct = self.distinct
         cap = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-        nodes = 0
-        start = self.frontier + 1
-        free = ~(self.open_gaps >> start)  # bit i set: start + i is open to the sigma = 1 roles
-        gaps = self.gaps
-        heavy = self.layout.heavy
-        while True:
-            nodes += 1
-            if nodes > cap:
-                raise BudgetExhausted(nodes)
-            low = free & -free
-            n = start + low.bit_length() - 1
-            if max_value is not None and n > max_value:
-                self.frontier = max_value
-                return None
-            for sigma, i in heavy:
-                nodes += 1
+        terms = self.terms
+        frontier, pending = self.frontier, self.pending
+        top, sums, gaps, open_gaps = self.top, self.sums, self.gaps, self.open_gaps
+        try:
+            while max_terms is None or len(terms) < max_terms:
+                if max_value is not None and frontier >= max_value:
+                    break
+                if pending is None:  # search for the next term
+                    nodes = 0
+                    start = frontier + 1
+                    free = ~(open_gaps >> start)  # bit i set: start + i is open to the sigma = 1 roles
+                    while True:
+                        nodes += 1
+                        if nodes > cap:
+                            raise BudgetExhausted(nodes)
+                        low = free & -free
+                        n = start + low.bit_length() - 1
+                        if max_value is not None and n > max_value:
+                            n = None
+                            break
+                        for sigma, i in heavy:
+                            nodes += 1
+                            if nodes > cap:
+                                raise BudgetExhausted(nodes)
+                            if (gaps[i] >> sigma * n) & 1:
+                                break
+                        else:
+                            break
+                        free ^= low
+                    if n is None:
+                        frontier = max_value
+                        break
+                    terms.append(n)
+                    frontier = pending = n
+                # The update for the accepted term; its node count is spent
+                # first, so a refused one leaves the bitsets as they were.
+                dt = d * pending
+                grow = dt > top
+                nodes = update_nodes + grow * len(parts)
                 if nodes > cap:
                     raise BudgetExhausted(nodes)
-                if (gaps[i] >> sigma * n) & 1:
-                    break
-            else:
-                return n
-            free ^= low
-
-    def _accept(self, t, node_budget):
-        self.pending = t
-        parts, light, _, nodes = self.layout
-        dt = self.coefficients.weight * t
-        grow = dt > self.top
-        nodes += grow * len(parts)
-        if nodes > (DEFAULT_NODE_BUDGET if node_budget is None else node_budget):
-            raise BudgetExhausted(nodes)
-        old = self.sums
-        if grow:  # keep top >= d*t, so that every sum, at most (d - 1)*t, has a bit
-            shift = 2 * dt - self.top
-            self.top += shift
-            old = [s << shift for s in old]
-        down = self.top - dt
-        distinct = self.distinct
-        old_gaps = self.gaps
-        sums, gaps = [], []
-        # Per state the sums, then the gaps: interleaving the two per part
-        # made the C allocator return and refault heap pages around the big
-        # ints on long (1,1) runs (4,096 terms: 35,766 minor faults and
-        # 0.58 s, against 859 and 0.47 s in this order).
-        for s, g, p in zip(old, old_gaps, parts):
-            before = s
-            for w, j in p:
-                s |= old[j] >> w * t
-            g |= (before if distinct else s) >> down
-            for w, j in p:
-                g |= old_gaps[j] >> w * t
-            sums.append(s)
-            gaps.append(g)
-        open_gaps = self.open_gaps
-        for i in light:
-            open_gaps |= gaps[i]
-        self.sums, self.gaps, self.open_gaps = sums, gaps, open_gaps
-        self.pending = None
+                if grow:  # keep top >= d*t, so that every sum, at most (d - 1)*t, has a bit
+                    shift = 2 * dt - top
+                    top += shift
+                    sums = [s << shift for s in sums]
+                down = top - dt
+                # In place, largest state first: a state's parts are all
+                # smaller states, so they still hold the values before t.
+                # Per state the sums, then the gaps: interleaving the two per
+                # part made the C allocator return and refault heap pages
+                # around the big ints on long (1,1) runs (4,096 terms: 35,766
+                # minor faults and 0.58 s, against 859 and 0.47 s in this order).
+                for i in range(last, -1, -1):
+                    p = parts[i]
+                    s = before = sums[i]
+                    for w, j in p:
+                        s |= sums[j] >> w * pending
+                    g = gaps[i] | (before if distinct else s) >> down
+                    for w, j in p:
+                        g |= gaps[j] >> w * pending
+                    sums[i] = s
+                    gaps[i] = g
+                for i in light:
+                    open_gaps |= gaps[i]
+                pending = None
+        except BudgetExhausted as exc:
+            spent = exc.nodes
+        else:
+            spent = None
+        self.frontier, self.pending = frontier, pending
+        self.top, self.sums, self.gaps, self.open_gaps = top, sums, gaps, open_gaps
+        if spent is not None:
+            raise BudgetExhausted(spent, self.sequence(), frontier + 1)
+        return self.sequence()
 
 
 def _prefix_within(seq: GreedySequence, max_terms, max_value):

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .closedform import ClosedForm
@@ -67,7 +67,8 @@ class ConditionReport:
 
     @property
     def overall(self) -> bool:
-        return self.cond_i.passed and all(cell.passed for cell in self.cells)
+        # a passed cell's residues are a non-empty tuple, a failed one's None
+        return self.cond_i.passed and all(map(attrgetter("residues"), self.cells))
 
     def to_json_dict(self) -> dict:
         return {

@@ -20,7 +20,7 @@ from nonavg import (
     zero_one_contains,
     zero_one_nth,
 )
-from nonavg.closedform import _TABLE_SIZE, _bits_table, _rank_table
+from nonavg.closedform import _TABLE_SIZE, _binary_in_base, _bits_table, _is_zero_one, _rank_table, _zero_one_rank
 from nonavg.tuples import VALUE_LIMIT
 
 E3 = CoefficientTuple((1, 1))
@@ -389,6 +389,23 @@ def test_walks_above_base_256(base):
                     assert cf.contains(n) == (cf.count_below_dp(n + 1) - cf.count_below_dp(n) == 1), (base, n)
     for k in range(16):
         assert cf.count_below(cf.nth(k)) == k
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=3, max_value=300), st.integers(min_value=0, max_value=10 ** 100), st.data())
+def test_membership_walk_matches_the_rank_walk(base, x, data):
+    """The early-exit membership walk agrees with the full rank walk on any
+    value, on zero-one values and on zero-one values with one digit raised;
+    above base 256 a chunk is one digit."""
+    width = 1
+    while base ** (width + 1) <= 10 ** 100:
+        width += 1
+    ones = _binary_in_base(data.draw(st.integers(min_value=0, max_value=2 ** width - 1)), base)
+    raised = ones + data.draw(st.integers(min_value=1, max_value=base - 2)) * base ** data.draw(
+        st.integers(min_value=0, max_value=width - 1))
+    assert _is_zero_one(ones, base)
+    for value in (x, ones, raised):
+        assert _is_zero_one(value, base) == _zero_one_rank(value, base)[1], (base, value)
 
 
 def test_walk_tables_stay_small():

@@ -257,6 +257,11 @@ def test_one_sieve_advanced_in_steps(rule):
         assert sieve.advance(*caps) == generate(e, rule, *caps)
 
 
+def _state(sieve):
+    """A copy of a sumset sieve's bitsets, which its updates change in place."""
+    return list(sieve.sums), list(sieve.gaps), sieve.open_gaps, sieve.top
+
+
 def _frozen(value):
     return isinstance(value, int) or isinstance(value, tuple) and all(map(_frozen, value))
 
@@ -271,13 +276,40 @@ def test_sumset_sieves_share_a_frozen_layout(rule):
     assert a.layout is b.layout
     assert _frozen(a.layout)
     b.advance(max_terms=3)
-    seen = (list(b.sums), list(b.gaps), b._next(None, None))
+    seen = _state(b)
     with pytest.raises(BudgetExhausted):
         a.advance(max_terms=20, node_budget=a.layout.update_nodes - 1)
     assert a.pending == 0
     assert a.advance(max_terms=20) == generate(e, rule, max_terms=20)
-    assert (b.sums, b.gaps, b._next(None, None)) == seen
+    assert _state(b) == seen
     assert b.advance(max_terms=20) == generate(e, rule, max_terms=20)
+
+
+@pytest.mark.parametrize("rule", [D, N])
+@pytest.mark.parametrize("coeffs", [(1, 1, 2), (1, 1, 1, 1)])
+def test_update_refused_where_the_bitsets_grow(coeffs, rule):
+    """A budget that covers an update but not the widening of its bitsets
+    stops the sieve at the first term that widens them, 1, with the term
+    accepted and the bitsets as they were; resumed, the sieve matches a
+    fresh one advanced to the same length."""
+    e = CoefficientTuple(coeffs)
+
+    def fresh(max_terms):
+        sieve = Sieve(GreedySequence(e, rule, (), -1))
+        sieve.advance(max_terms=max_terms)
+        return sieve
+
+    layout = fresh(0).layout
+    for budget in range(layout.update_nodes, layout.update_nodes + len(layout.parts)):
+        sieve = Sieve(GreedySequence(e, rule, (), -1))
+        with pytest.raises(BudgetExhausted) as info:
+            sieve.advance(max_terms=20, node_budget=budget)
+        assert info.value.nodes == layout.update_nodes + len(layout.parts)
+        assert info.value.partial.terms == (0, 1) and sieve.pending == 1
+        assert _state(sieve) == _state(fresh(1))
+        assert sieve.advance(max_terms=20) == generate(e, rule, max_terms=20)
+        assert sieve.pending is None
+        assert _state(sieve) == _state(fresh(20))
 
 
 # Six to eight coefficients in repeated groups: one new term fills many

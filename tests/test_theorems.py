@@ -449,6 +449,19 @@ def test_discovery_reproduces_catalog_all_rows():
         assert all(validate_cell(e, cell, report.residues) for cell in report.cells), coeffs
 
 
+def test_discovery_finds_the_uncataloged_1_1_2_4_6_form():
+    """(1,1,2,4,6) is not in the paper's catalog, and discovery at the
+    default caps finds a closed form for it; every witness revalidates and
+    the form enumerates the greedy sequence."""
+    e = CoefficientTuple((1, 1, 2, 4, 6))
+    assert e.coeffs not in KNOWN_CLOSED_FORMS
+    cf, report = discover_closed_form(e)
+    assert (cf.scale, cf.base) == (10560, 15)
+    assert cf.residues == (0, 1, 2, 3, 4, 17, 35, 50, 51, 704, 705, 706, 707, 708, 721, 739, 754, 755)
+    assert report.overall and len(report.cells) == 137280
+    assert all(validate_cell(e, cell, report.residues) for cell in report.cells)
+    assert generate(e, AvoidanceRule.DISTINCT, max_terms=40).terms == tuple(cf.nth(k) for k in range(40))
+
 
 @pytest.mark.parametrize("m", [*range(8, 13), 14, 16])
 def test_discovery_finds_the_all_ones_family(m):
