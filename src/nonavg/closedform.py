@@ -12,7 +12,7 @@ step through small per-base tables.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -54,7 +54,9 @@ def decompose(x: int, base: int, scale: int) -> Decomposition:
 
 
 # Both walks take several base digits per step through per-base tables of at
-# most _TABLE_SIZE entries, built once per base from the per-digit rules.
+# most _TABLE_SIZE entries, built on first use per base from the per-digit
+# rules.  The rank walk also keeps the powers of its step up to the first
+# above 2^64, so that it can start at the highest chunk of a value.
 _TABLE_SIZE = 256
 
 
@@ -80,13 +82,20 @@ def _chunk_rank(c: int, base: int):
 
 @lru_cache(maxsize=64)
 def _rank_table(base: int):
-    """(base^k, k, _chunk_rank of each chunk below min(base^k, 256)) for the
-    largest k >= 1 with base^k <= 256, or k = 1 above base 256."""
+    """(step, k, powers, table) for the rank walk in the base.
+
+    step = base^k for the largest k >= 1 with base^k <= 256, or k = 1 above
+    base 256; powers = step^0 .. step^J, step^J the first power above 2^64;
+    table = ``_chunk_rank`` of each chunk below min(step, 256).
+    """
     step, k = base, 1
     while step * base <= _TABLE_SIZE:
         step *= base
         k += 1
-    return step, k, tuple(_chunk_rank(c, base) for c in range(min(step, _TABLE_SIZE)))
+    powers = [1]
+    while powers[-1] <= 1 << 64:
+        powers.append(powers[-1] * step)
+    return step, k, tuple(powers), tuple(_chunk_rank(c, base) for c in range(min(step, _TABLE_SIZE)))
 
 
 @lru_cache(maxsize=64)
@@ -110,33 +119,59 @@ def _binary_in_base(n: int, base: int) -> int:
 
 
 def _zero_one_rank(x: int, base: int):
-    """(how many zero-one values lie below x, whether x is one), for x >= 0.
+    """(how many zero-one values lie below x, whether x is one), for x >= 0."""
+    return _walk_rank(x, _rank_table(base))
 
-    One walk from the low end, k base digits per step: a chunk with only 0/1
-    digits adds its own count shifted past the lower chunks; a chunk with a
-    digit above 1 frees every lower digit, so the count restarts at its own.
-    Above base 256 a chunk is one digit, and a digit c >= 256 counts as 2.
+
+def _walk_rank(x: int, walk):
+    """``_zero_one_rank`` with the base's ``_rank_table`` given.
+
+    One walk from the high end, k base digits per step: each chunk adds the
+    count of the zero-one chunks below it, shifted past the lower chunks; at
+    the first chunk with a digit above 1 every lower digit is free, so the
+    walk stops there.  Above base 256 a chunk is one digit, and a digit
+    c >= 256 counts as 2.  A value of step^J or more is split into parts of
+    J chunks, walked from the highest part down.
     """
-    step, k, table = _rank_table(base)
+    _, k, powers, table = walk
+    if x >= powers[-1]:
+        return _wide_rank(x, walk)
+    j = bisect_right(powers, x)
     count = 0
-    member = True
-    shift = 0
-    while x:
-        x, c = divmod(x, step)
+    while j:
+        j -= 1
+        c, x = divmod(x, powers[j])
         below, big = table[c] if c < _TABLE_SIZE else (2, True)
+        count = (count << k) + below
         if big:
-            count = below << shift
-            member = False
-        else:
-            count += below << shift
-        shift += k
-    return count, member
+            return count << k * j, False
+    return count, True
+
+
+def _wide_rank(x: int, walk):
+    """``_walk_rank`` of x >= step^J, split by divmod into parts of J chunks
+    below a highest part: the highest is walked first, and each lower part
+    only while every part above it is zero-one.  No cache grows with x."""
+    _, k, powers, _ = walk
+    top = powers[-1]
+    width = k * (len(powers) - 1)
+    lows = []
+    while x >= top:
+        x, low = divmod(x, top)
+        lows.append(low)
+    count, member = _walk_rank(x, walk)
+    while lows and member:
+        below, member = _walk_rank(lows.pop(), walk)
+        count = (count << width) + below
+    return count << width * len(lows), member
 
 
 def _is_zero_one(x: int, base: int) -> bool:
-    """Whether x >= 0 has only 0/1 digits: the walk of ``_zero_one_rank``,
-    stopped at the first chunk with a digit above 1."""
-    step, _, table = _rank_table(base)
+    """Whether x >= 0 has only 0/1 digits: the chunks of ``_rank_table``
+    read from the low end, stopped at the first with a digit above 1.  With
+    no count to keep, the low end needs no bisect and only the one divisor,
+    which measured faster than the top-down walk on membership queries."""
+    step, _, _, table = _rank_table(base)
     while x:
         x, c = divmod(x, step)
         if c >= _TABLE_SIZE or table[c][1]:
@@ -225,7 +260,7 @@ class ClosedForm:
     least and stay below the scale, which makes ``nth`` strictly increasing.
     """
 
-    __slots__ = ("base", "scale", "residues", "coefficients")
+    __slots__ = ("base", "scale", "residues", "coefficients", "_walk")
 
     def __init__(self, base: int, scale: int, residues, coefficients: CoefficientTuple | None = None):
         if base < 2:
@@ -245,6 +280,7 @@ class ClosedForm:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "residues", rs)
         object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "_walk", _rank_table(base))
 
     def __setattr__(self, name, value):
         raise AttributeError("ClosedForm is immutable")
@@ -306,7 +342,7 @@ class ClosedForm:
         if n <= 0:
             return 0
         q, s = divmod(n, self.scale)
-        below, member = _zero_one_rank(q, self.base)
+        below, member = _walk_rank(q, self._walk)
         return len(self.residues) * below + (bisect_left(self.residues, s) if member else 0)
 
     def count_below_dp(self, n: int) -> int:

@@ -105,9 +105,10 @@ class Sieve:
     one, such as a prefix read from a cache, gets a window of flags filled
     by enumerating solutions among its terms (``_WindowSieve``), because
     building the bitsets would cost at least one big-int shift per given
-    term.  The node budget applies to each accepted-term update and to each
-    search for the next term; an accepted term is in the prefix before its
-    update is spent.
+    term.  Each state has its own ``advance(max_terms, max_value,
+    node_budget)``.  The node budget applies to each accepted-term update
+    and to each search for the next term; an accepted term is in the prefix
+    before its update is spent.
     """
 
     def __new__(cls, seq: GreedySequence):
@@ -124,36 +125,6 @@ class Sieve:
 
     def sequence(self) -> GreedySequence:
         return GreedySequence(self.coefficients, self.rule, tuple(self.terms), self.frontier)
-
-    def advance(self, max_terms=None, max_value=None, node_budget=None) -> GreedySequence:
-        """Scan on until max_terms terms or frontier max_value, whichever comes first."""
-        terms = self.terms
-        try:
-            while max_terms is None or len(terms) < max_terms:
-                if max_value is not None and self.frontier >= max_value:
-                    break
-                n = self._next(max_value, node_budget)
-                if n is None:
-                    break
-                terms.append(n)
-                self.frontier = n
-                self._accept(n, node_budget)
-        except BudgetExhausted as exc:
-            self._interrupted()
-            raise BudgetExhausted(exc.nodes, self.sequence(), self.frontier + 1) from None
-        return self.sequence()
-
-    def _next(self, max_value, node_budget):
-        """The least admissible value above the frontier; or None, with the
-        frontier moved to max_value, when there is none up to it."""
-        raise NotImplementedError
-
-    def _accept(self, t, node_budget):
-        """Add the solutions that use the new term t."""
-        raise NotImplementedError
-
-    def _interrupted(self):
-        """Leave the state resumable after the node budget ran out."""
 
 
 class _WindowSieve(Sieve):
@@ -182,7 +153,27 @@ class _WindowSieve(Sieve):
         self.width = WINDOW_START
         self.blocked = bytearray()
 
+    def advance(self, max_terms=None, max_value=None, node_budget=None) -> GreedySequence:
+        """Scan on until max_terms terms or frontier max_value, whichever comes first."""
+        terms = self.terms
+        try:
+            while max_terms is None or len(terms) < max_terms:
+                if max_value is not None and self.frontier >= max_value:
+                    break
+                n = self._next(max_value, node_budget)
+                if n is None:
+                    break
+                terms.append(n)
+                self.frontier = n
+                self._accept(n, node_budget)
+        except BudgetExhausted as exc:
+            self.hi = self.frontier + 1  # the window may be half marked: refill on resuming
+            raise BudgetExhausted(exc.nodes, self.sequence(), self.frontier + 1) from None
+        return self.sequence()
+
     def _next(self, max_value, node_budget):
+        """The least admissible value above the frontier; or None, with the
+        frontier moved to max_value, when there is none up to it."""
         while True:
             if self.frontier + 1 >= self.hi:
                 self._refill(max_value, _Budget(node_budget))
@@ -193,9 +184,6 @@ class _WindowSieve(Sieve):
             self.frontier = end - 1
             if max_value is not None and self.frontier >= max_value:
                 return None
-
-    def _interrupted(self):
-        self.hi = self.frontier + 1  # the window may be half marked: refill on resuming
 
     def _refill(self, max_value, budget):
         lo = self.frontier + 1
@@ -209,6 +197,7 @@ class _WindowSieve(Sieve):
             self._mark(sigma, slots, 0, set(), budget)
 
     def _accept(self, t, node_budget):
+        """Add the solutions that use the new term t."""
         self.terms_set.add(t)
         budget = _Budget(node_budget)
         d = self.coefficients.weight
@@ -277,10 +266,11 @@ class _SumsetSieve(Sieve):
         self.pending = None  # an accepted term whose update the budget refused
 
     def advance(self, max_terms=None, max_value=None, node_budget=None) -> GreedySequence:
-        """``Sieve.advance`` as one loop on local variables: the search for
-        the next term and the update for an accepted one run inline, and the
-        state goes back to the sieve once, when the loop returns or the
-        budget runs out."""
+        """Scan on until max_terms terms or frontier max_value, whichever
+        comes first, in one loop on local variables: the search for the next
+        term and the update for an accepted one run inline, and the state
+        goes back to the sieve once, when the loop returns or the budget
+        runs out."""
         parts, light, heavy, update_nodes = self.layout
         last = len(parts) - 1
         d = self.coefficients.weight

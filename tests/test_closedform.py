@@ -408,6 +408,58 @@ def test_membership_walk_matches_the_rank_walk(base, x, data):
         assert _is_zero_one(value, base) == _zero_one_rank(value, base)[1], (base, value)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=2, max_value=300), st.integers(min_value=0, max_value=10 ** 100), st.data())
+def test_rank_walk_matches_the_per_digit_rank(base, x, data):
+    """The top-down rank walk equals the per-digit walk on any value, on
+    zero-one values (base 2: every value, so every chunk is read) and on
+    zero-one values with one digit raised."""
+    ones = _binary_in_base(data.draw(st.integers(min_value=0, max_value=2 ** 300)), base)
+    values = [x, ones]
+    if base > 2:
+        values.append(ones + data.draw(st.integers(min_value=1, max_value=base - 2)) * base ** data.draw(
+            st.integers(min_value=0, max_value=300)))
+    for value in values:
+        assert _zero_one_rank(value, base) == _per_digit_rank(value, base), (base, value)
+
+
+@pytest.mark.parametrize("base", [2, 3, 16, 257, 10 ** 6])
+def test_rank_walk_at_the_last_cached_power(base):
+    """Values at step^J, the first cached power above 2^64, where the walk
+    splits a value into parts of J chunks, and zero-one values across it."""
+    step, k, powers, _ = _rank_table(base)
+    top = powers[-1]
+    assert powers == tuple(step ** j for j in range(len(powers))) and powers[-2] <= 2 ** 64 < top
+    span = _binary_in_base((1 << 3 * k * (len(powers) - 1)) - 1, base)  # zero-one, three parts wide
+    cf = ClosedForm(base, 1, [0])
+    for x in (0, top - 1, top, top + 1, top * top - 1, top * top, top * top + 1, span, span + 1, span + top):
+        assert _zero_one_rank(x, base) == _per_digit_rank(x, base), (base, x)
+        assert cf.count_below(x) == cf.count_below_dp(x), (base, x)
+
+
+def test_rank_walk_at_the_cli_digit_limit():
+    """4,300-digit values (the CLI's MAX_N_DIGITS) that read zero-one down to
+    the lowest digit, and with a digit above 1 there: exact against the DP
+    (base 10^18, whose digit list the DP's recursion can hold) and against
+    the per-digit walk (base 3), with no cache call per count and the cached
+    powers unchanged."""
+    base = 10 ** 18
+    cf = ClosedForm(base, 7 * 10 ** 15, [0, 3, 2999])
+    q = _binary_in_base((1 << 239) - 1 - (1 << 100), base)
+    powers = _rank_table(base)[2]
+    for n in (cf.scale * q + 1000, cf.scale * (q + 2) + 1000):
+        assert 10 ** 4299 <= n < 10 ** 4300
+        info = _rank_table.cache_info()
+        got = cf.count_below(n)
+        assert _rank_table.cache_info() == info
+        assert got == cf.count_below_dp(n), n
+    assert _rank_table(base)[2] is powers and len(powers) == 3
+    q = _binary_in_base((1 << 9011) - 1 - (1 << 300), 3)
+    for x in (q, q + 2):
+        assert 10 ** 4299 <= x < 10 ** 4300
+        assert _zero_one_rank(x, 3) == _per_digit_rank(x, 3)
+
+
 def test_walk_tables_stay_small():
     """Every cached table holds at most 256 entries, whatever the base."""
     bases = (2, 3, 16, 17, 255, 256, 257, 513, 10 ** 6)
