@@ -97,25 +97,24 @@ def _parse_n(text: str) -> int:
     return int(value)
 
 
-def _emit_terms(seq, args, out):
+def _store_and_emit(seq, cached, args, out):
+    """Write seq to the cache, if any, and print it, from one decimal
+    rendering of its terms: plain output is those lines, csv and json join
+    them as ``json.dumps`` would."""
+    seq = greedy.rendered(seq)
+    if args.cache:
+        _write_cache(args.cache, cached, seq)
+    lines = seq.lines[1]
     if args.format == "plain":
-        out.write("".join(f"{t}\n" for t in seq.terms))
+        out.write(lines)
     elif args.format == "csv":
         if args.header:
             print("term", file=out)
-        print(",".join(str(t) for t in seq.terms), file=out)
+        print(lines[:-1].replace("\n", ","), file=out)
     else:
-        print(
-            json.dumps(
-                {
-                    "tuple": seq.coefficients.text(),
-                    "rule": seq.rule.value,
-                    "frontier": seq.frontier,
-                    "terms": list(seq.terms),
-                }
-            ),
-            file=out,
-        )
+        head = json.dumps({"tuple": seq.coefficients.text(), "rule": seq.rule.value, "frontier": seq.frontier})
+        terms = lines[:-1].replace("\n", ", ")
+        print(f'{head[:-1]}, "terms": [{terms}]}}', file=out)
 
 
 def _run_generate(args, out) -> int:
@@ -140,15 +139,10 @@ def _run_generate(args, out) -> int:
             )
     except BudgetExhausted as exc:
         if exc.partial is not None:
-            if args.cache:
-                _write_cache(args.cache, cached, exc.partial)
-            _emit_terms(exc.partial, args, out)
+            _store_and_emit(exc.partial, cached, args, out)
         print(f"generate: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-
-    if args.cache:
-        _write_cache(args.cache, cached, seq)
-    _emit_terms(seq, args, out)
+    _store_and_emit(seq, cached, args, out)
     return EXIT_OK
 
 

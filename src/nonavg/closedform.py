@@ -218,27 +218,17 @@ def _digits(x: int, base: int):
 
 
 def _count_zero_one_below_dp(n: int, base: int) -> int:
-    """Independent check of the digit walk: memoized position/tight recursion."""
+    """Independent check of the digit walk: a position/tight DP over the
+    digits, most significant first, in a loop, so any digit count fits."""
     if n <= 0:
         return 0
-    digits = tuple(reversed(_digits(n, base)))  # most significant first
-
-    @lru_cache(maxsize=None)
-    def rec(i: int, tight: bool) -> int:
-        if i == len(digits):
-            return 0 if tight else 1
-        total = 0
-        for v in (0, 1):
-            if tight:
-                if v < digits[i]:
-                    total += rec(i + 1, False)
-                elif v == digits[i]:
-                    total += rec(i + 1, True)
-            else:
-                total += rec(i + 1, False)
-        return total
-
-    return rec(0, True)
+    # Zero-one digit strings of the positions so far: equal to n's (tight)
+    # and already below n's (loose).
+    tight, loose = 1, 0
+    for digit in reversed(_digits(n, base)):
+        below = sum(v < digit for v in (0, 1))  # choices that drop below n here
+        loose, tight = 2 * loose + below * tight, tight if digit in (0, 1) else 0
+    return loose
 
 
 def count_zero_one_below(coefficients: CoefficientTuple, n: int) -> int:

@@ -12,8 +12,8 @@ the sieve.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from operator import lt
@@ -31,12 +31,18 @@ WINDOW_MAX = 1 << 20
 
 @dataclass(frozen=True)
 class GreedySequence:
-    """A generated prefix: terms plus the highest integer examined so far."""
+    """A generated prefix: terms plus the highest integer examined so far.
+
+    ``lines`` is (k, text), text the first k terms in decimal, one line each:
+    the lines of the cache the terms were read from, or those ``rendered``
+    made, so that each term is turned into text once.
+    """
 
     coefficients: CoefficientTuple
     rule: AvoidanceRule
     terms: tuple
     frontier: int
+    lines: tuple = field(default=(0, ""), compare=False, repr=False)
 
 
 @lru_cache(maxsize=256)
@@ -121,10 +127,11 @@ class Sieve:
         self.rule = seq.rule
         self.terms = list(seq.terms)
         self.frontier = seq.frontier
+        self.lines = seq.lines  # terms are only appended, so these stay a prefix's
         self.distinct = seq.rule is AvoidanceRule.DISTINCT
 
     def sequence(self) -> GreedySequence:
-        return GreedySequence(self.coefficients, self.rule, tuple(self.terms), self.frontier)
+        return GreedySequence(self.coefficients, self.rule, tuple(self.terms), self.frontier, self.lines)
 
 
 class _WindowSieve(Sieve):
@@ -496,7 +503,33 @@ def naive_generate(coefficients, rule, max_value):
 
 
 # ---------------------------------------------------------------------------
-# Sequence cache files.
+# Sequence cache files and the decimal text of the terms.
+
+
+def rendered(seq: GreedySequence) -> GreedySequence:
+    """seq with the decimal lines of all its terms: the lines it carries,
+    then one line for each later term."""
+    k, text = seq.lines
+    if k == len(seq.terms):
+        return seq
+    text += "\n".join(map(str, seq.terms[k:])) + "\n"
+    return GreedySequence(seq.coefficients, seq.rule, seq.terms, seq.frontier, (len(seq.terms), text))
+
+
+def _is_canonical(body: str, terms) -> bool:
+    """Is body exactly the nonnegative sorted terms in decimal, one line each?
+
+    A line that int() reads is at least as long as str() of its value, and
+    equally long only when it is that text, and a blank line adds its
+    newline.  So a body that ends in a newline is canonical exactly when it
+    is as long as the canonical text: each term's digits and a newline.
+    """
+    size = 2 * len(terms)
+    power = 10
+    while terms and terms[-1] >= power:  # one more digit for each term >= power
+        size += len(terms) - bisect_left(terms, power)
+        power *= 10
+    return body.endswith("\n") and len(body) == size
 
 
 def write_cache(path, seq: GreedySequence):
@@ -506,7 +539,7 @@ def write_cache(path, seq: GreedySequence):
     over it, so a reader sees the old cache or the new one, never a part.
     """
     header = f"# tuple={seq.coefficients.text()} rule={seq.rule.value} frontier={seq.frontier}"
-    text = "\n".join([header, *map(str, seq.terms)]) + "\n"
+    text = f"{header}\n{rendered(seq).lines[1]}"
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
@@ -524,7 +557,10 @@ def read_cache(path) -> GreedySequence:
     The check is structural: the terms start at 0, strictly increase and end
     at or below the frontier (an empty cache has a negative frontier).  The
     terms are not regenerated, which would cost as much as the generation
-    the cache saves, so a well-formed cache of wrong terms is accepted.
+    the cache saves, so a well-formed cache of wrong terms is accepted.  The
+    sequence keeps the term lines as read when they are the terms' canonical
+    decimal text; a lenient cache (signs, spaces, leading zeros, blank lines)
+    is rendered again from its integers.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -537,8 +573,9 @@ def read_cache(path) -> GreedySequence:
             frontier = int(fields["frontier"])
         except KeyError as exc:
             raise ValueError(f"cache header lacks {exc}") from None
-        # split("\n"), not splitlines(), which would also split a line at \x0c or \x1c
-        terms = tuple(map(int, filter(str.strip, fh.read().split("\n"))))
+        body = fh.read()
+    # split("\n"), not splitlines(), which would also split a line at \x0c or \x1c
+    terms = tuple(map(int, filter(str.strip, body.split("\n"))))
     if not terms:
         if frontier >= 0:
             raise ValueError(f"cache holds no terms up to frontier {frontier}")
@@ -548,4 +585,5 @@ def read_cache(path) -> GreedySequence:
         raise ValueError("cache terms are not strictly increasing")
     elif terms[-1] > frontier:
         raise ValueError(f"cache term {terms[-1]} lies beyond its frontier {frontier}")
-    return GreedySequence(coefficients, rule, terms, frontier)
+    lines = (len(terms), body) if _is_canonical(body, terms) else (0, "")
+    return GreedySequence(coefficients, rule, terms, frontier, lines)

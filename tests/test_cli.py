@@ -1,19 +1,40 @@
 """Command-line front end: formats, exit codes, caches, budget handling."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nonavg
-from nonavg import KNOWN_CLOSED_FORMS
+from nonavg import KNOWN_CLOSED_FORMS, AvoidanceRule, BudgetExhausted, CoefficientTuple, extend
 from nonavg.cli import _build_parser, main
+from nonavg.greedy import GreedySequence
 
 S3_17 = [0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40, 81]
 S3_40_TEXT = ("0 1 3 4 9 10 12 13 27 28 30 31 36 37 39 40 81 82 84 85 90 91 93 94 108 109 111 112 117 118 "
               "120 121 243 244 246 247 252 253 255 256")
+
+
+# How a cache file may spell its terms: canonical, the lenient forms that
+# read_cache accepts, and an empty cache with a negative frontier.
+CACHE_SPELLINGS = {
+    "canonical": lambda terms: "".join(f"{t}\n" for t in terms),
+    "spaces": lambda terms: "".join(f" {t}\t\n" if t % 2 else f"\t{t}  \n" for t in terms),
+    "sign": lambda terms: "".join(f"+{t}\n" for t in terms),
+    "leading zeros": lambda terms: "".join(f"00{t}\n" for t in terms),
+    "underscore": lambda terms: "".join(f"0_{t}\n" for t in terms),
+    "blank lines": lambda terms: "\n" + "".join(f"{t}\n\n" for t in terms),
+    "crlf": lambda terms: "".join(f"{t}\r\n" for t in terms),
+    "no final newline": lambda terms: "\n".join(map(str, terms)),
+    "one lenient line": lambda terms: "".join(f"{t:03}\n" for t in terms[:1]) + "".join(f"{t}\n" for t in terms[1:]),
+    "empty": lambda terms: "",
+}
 
 
 def run(capsys, *argv):
@@ -102,6 +123,58 @@ class TestGenerate:
         cache = str(tmp_path / "s3.cache")
         for extra in ([], ["--cache", cache], ["--cache", cache]):
             assert run(capsys, *argv, *extra) == (0, expected, "")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.integers(1, 10 ** 5), max_size=24, unique=True),
+        gap=st.integers(0, 40),
+        spelling=st.sampled_from(sorted(CACHE_SPELLINGS)),
+        fmt=st.sampled_from(["plain", "csv", "csv --header", "json"]),
+        ask=st.integers(-3, 3),
+        budget=st.sampled_from([None, 3, 12, 40]),
+    )
+    def test_cache_step_bytes(self, values, gap, spelling, fmt, ask, budget):
+        """A generate --cache step from a canonical or a lenient cache prints
+        what an independent rendering of its terms prints, and leaves the
+        cache's own bytes or the canonical text of the longer prefix: when
+        it extends the cache, when it asks for fewer terms than the cache
+        holds, and when the node budget stops it."""
+        terms = tuple([0, *sorted(values)]) if spelling != "empty" else ()
+        frontier = (terms[-1] if terms else -1) + gap * bool(terms)
+        start = GreedySequence(CoefficientTuple((1, 1)), AvoidanceRule.DISTINCT, terms, frontier)
+        max_terms = max(1, len(terms) + ask)
+        try:
+            seq, code, err = extend(start, max_terms=max_terms, node_budget=budget), 0, ""
+        except BudgetExhausted as exc:
+            seq, code, err = exc.partial, 2, f"generate: {exc}\n"
+        shown = [str(t) for t in seq.terms]
+        expected = {
+            "plain": "".join(t + "\n" for t in shown),
+            "csv": ",".join(shown) + "\n",
+            "csv --header": "term\n" + ",".join(shown) + "\n",
+            "json": json.dumps(
+                {"tuple": "1,1", "rule": "distinct", "frontier": seq.frontier, "terms": list(seq.terms)}
+            ) + "\n",
+        }[fmt]
+        header = "# tuple=1,1 rule=distinct frontier={}\n"
+        written = (header.format(frontier) + CACHE_SPELLINGS[spelling](terms)).encode()
+        if seq.frontier > frontier:
+            written = (header.format(seq.frontier) + "".join(t + "\n" for t in shown)).encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = os.path.join(tmp, "step.cache")
+            with open(cache, "wb") as fh:
+                fh.write((header.format(frontier) + CACHE_SPELLINGS[spelling](terms)).encode())
+            argv = ["generate", "--tuple", "1,1", "--max-terms", str(max_terms), "--cache", cache,
+                    "--format", *fmt.split()]
+            if budget is not None:
+                argv += ["--node-budget", str(budget)]
+            out, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
+                got = main(argv)
+            assert (got, out.getvalue(), stderr.getvalue()) == (code, expected, err)
+            with open(cache, "rb") as fh:
+                assert fh.read() == written
+            assert os.listdir(tmp) == ["step.cache"]
 
     def test_cache_mismatch_regenerates(self, capsys, tmp_path):
         cache = str(tmp_path / "seq.cache")

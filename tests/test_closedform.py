@@ -20,7 +20,9 @@ from nonavg import (
     zero_one_contains,
     zero_one_nth,
 )
-from nonavg.closedform import _TABLE_SIZE, _binary_in_base, _bits_table, _is_zero_one, _rank_table, _zero_one_rank
+from nonavg.closedform import (
+    _TABLE_SIZE, _binary_in_base, _bits_table, _count_zero_one_below_dp, _is_zero_one, _rank_table, _zero_one_rank,
+)
 from nonavg.tuples import VALUE_LIMIT
 
 E3 = CoefficientTuple((1, 1))
@@ -440,9 +442,9 @@ def test_rank_walk_at_the_last_cached_power(base):
 def test_rank_walk_at_the_cli_digit_limit():
     """4,300-digit values (the CLI's MAX_N_DIGITS) that read zero-one down to
     the lowest digit, and with a digit above 1 there: exact against the DP
-    (base 10^18, whose digit list the DP's recursion can hold) and against
-    the per-digit walk (base 3), with no cache call per count and the cached
-    powers unchanged."""
+    (base 10^18, and base 3 with its 9,012 digits) and against the per-digit
+    walk (base 3), with no cache call per count and the cached powers
+    unchanged."""
     base = 10 ** 18
     cf = ClosedForm(base, 7 * 10 ** 15, [0, 3, 2999])
     q = _binary_in_base((1 << 239) - 1 - (1 << 100), base)
@@ -458,6 +460,7 @@ def test_rank_walk_at_the_cli_digit_limit():
     for x in (q, q + 2):
         assert 10 ** 4299 <= x < 10 ** 4300
         assert _zero_one_rank(x, 3) == _per_digit_rank(x, 3)
+        assert _zero_one_rank(x, 3)[0] == _count_zero_one_below_dp(x, 3)
 
 
 def test_walk_tables_stay_small():

@@ -22,7 +22,7 @@ from nonavg import (
     write_cache,
     zero_one_contains,
 )
-from nonavg.greedy import GreedySequence, Sieve
+from nonavg.greedy import GreedySequence, Sieve, _is_canonical
 
 D = AvoidanceRule.DISTINCT
 N = AvoidanceRule.NOT_ALL_EQUAL
@@ -381,6 +381,24 @@ def test_skip_witness_rejects_a_term():
         skip_witness(seq, 3)
 
 
+# Lenient spellings of one term line that read_cache accepts.
+LENIENT_EDITS = {
+    " ": lambda line: " " + line,
+    "\t": lambda line: line + "\t",
+    "+": lambda line: "+" + line,
+    "0": lambda line: "0" + line,
+    "0_": lambda line: "0_" + line,
+    "\n": lambda line: line + "\n",  # a blank line after it
+}
+
+
+def _is_canonical_by_lines(body):
+    """Every line is str(int(line)), none is blank, and the last ends in a newline."""
+    if not body.endswith("\n"):
+        return False
+    return all(line.strip() and line == str(int(line)) for line in body[:-1].split("\n"))
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "seq.cache"
@@ -400,11 +418,51 @@ class TestCache:
         "0\n1\n3",  # no final newline
         "0\n+1\n3\n",  # a sign
         "0\n1\n0_3\n",  # an underscore between digits
+        "0\n1\n3\n",  # canonical
     ])
     def test_lenient_term_lines_are_accepted(self, tmp_path, body):
         path = tmp_path / "seq.cache"
         path.write_bytes(b"# tuple=1,1 rule=distinct frontier=3\n" + body.encode())
-        assert read_cache(path).terms == (0, 1, 3)
+        seq = read_cache(path)
+        assert seq.terms == (0, 1, 3)
+        # The lines are kept only when canonical; universal newlines read CRLF as LF.
+        kept = body.replace("\r\n", "\n") == "0\n1\n3\n"
+        assert seq.lines == ((3, "0\n1\n3\n") if kept else (0, ""))
+
+    @pytest.mark.parametrize("body, terms", [
+        ("", ()),
+        ("\n", ()),
+        ("0\n1\n3\n", (0, 1, 3)),
+        ("0\n1\n3", (0, 1, 3)),  # no final newline
+        ("0\n+1\n2", (0, 1, 2)),  # ... offset by a sign: as long as the canonical text
+        ("0\n1\n 2", (0, 1, 2)),  # ... or by a space
+        ("0\n\n1\n", (0, 1)),
+        ("9\n10\n99\n100\n", (9, 10, 99, 100)),
+        ("9\n010\n99\n100\n", (9, 10, 99, 100)),
+        ("0\n0_3\n", (0, 3)),
+        ("0\n3 \n", (0, 3)),
+    ])
+    def test_canonical_check_matches_its_definition(self, body, terms):
+        assert _is_canonical(body, terms) == _is_canonical_by_lines(body)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.integers(1, 10 ** 7), max_size=30, unique=True),
+        edits=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(list(LENIENT_EDITS))), max_size=3),
+        final_newline=st.booleans(),
+    )
+    def test_canonical_check_on_lenient_variants(self, values, edits, final_newline):
+        """The length test against the line-by-line definition, on the
+        canonical text with a few lines spelled leniently, with or without
+        the final newline."""
+        terms = (0, *sorted(values))
+        lines = [str(t) for t in terms]
+        for i, edit in edits:
+            i %= len(lines)
+            if lines[i].isdigit() or edit in (" ", "\t", "\n"):  # a sign or zeros go before the digits
+                lines[i] = LENIENT_EDITS[edit](lines[i])
+        body = "\n".join(lines) + "\n" * final_newline
+        assert _is_canonical(body, terms) == _is_canonical_by_lines(body)
 
     @pytest.mark.parametrize("line", ["1 2", "x", "5\x0c6"])
     def test_a_line_that_is_not_one_integer_is_rejected(self, tmp_path, line):
