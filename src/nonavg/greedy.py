@@ -366,10 +366,15 @@ def _prefix_within(seq: GreedySequence, max_terms, max_value):
         terms = terms[:bisect_right(terms, max_value)]
     if max_terms is not None and len(terms) >= max_terms:
         terms = terms[:max_terms]
-        return GreedySequence(seq.coefficients, seq.rule, terms, terms[-1])
-    if max_value is not None and max_value <= seq.frontier:
-        return GreedySequence(seq.coefficients, seq.rule, terms, max_value)
-    return None
+        frontier = terms[-1]
+    elif max_value is not None and max_value <= seq.frontier:
+        frontier = max_value
+    else:
+        return None
+    k, text = seq.lines
+    if len(terms) < k:  # keep the lines of the terms kept
+        k, text = len(terms), text[:_decimal_size(terms)]
+    return GreedySequence(seq.coefficients, seq.rule, terms, frontier, (k, text))
 
 
 def _continue(seq: GreedySequence, max_terms, max_value, node_budget) -> GreedySequence:
@@ -516,20 +521,26 @@ def rendered(seq: GreedySequence) -> GreedySequence:
     return GreedySequence(seq.coefficients, seq.rule, seq.terms, seq.frontier, (len(seq.terms), text))
 
 
+def _decimal_size(terms) -> int:
+    """The length of the decimal lines of the nonnegative sorted terms: each
+    term's digits and a newline."""
+    size = 2 * len(terms)
+    power = 10
+    while terms and terms[-1] >= power:  # one more digit for each term >= power
+        size += len(terms) - bisect_left(terms, power)
+        power *= 10
+    return size
+
+
 def _is_canonical(body: str, terms) -> bool:
     """Is body exactly the nonnegative sorted terms in decimal, one line each?
 
     A line that int() reads is at least as long as str() of its value, and
     equally long only when it is that text, and a blank line adds its
     newline.  So a body that ends in a newline is canonical exactly when it
-    is as long as the canonical text: each term's digits and a newline.
+    is as long as the canonical text.
     """
-    size = 2 * len(terms)
-    power = 10
-    while terms and terms[-1] >= power:  # one more digit for each term >= power
-        size += len(terms) - bisect_left(terms, power)
-        power *= 10
-    return body.endswith("\n") and len(body) == size
+    return body.endswith("\n") and len(body) == _decimal_size(terms)
 
 
 def write_cache(path, seq: GreedySequence):

@@ -157,13 +157,14 @@ class TestGenerate:
             ) + "\n",
         }[fmt]
         header = "# tuple=1,1 rule=distinct frontier={}\n"
-        written = (header.format(frontier) + CACHE_SPELLINGS[spelling](terms)).encode()
+        original = (header.format(frontier) + CACHE_SPELLINGS[spelling](terms)).encode()
+        written = original  # a cache never shrinks
         if seq.frontier > frontier:
             written = (header.format(seq.frontier) + "".join(t + "\n" for t in shown)).encode()
         with tempfile.TemporaryDirectory() as tmp:
             cache = os.path.join(tmp, "step.cache")
             with open(cache, "wb") as fh:
-                fh.write((header.format(frontier) + CACHE_SPELLINGS[spelling](terms)).encode())
+                fh.write(original)
             argv = ["generate", "--tuple", "1,1", "--max-terms", str(max_terms), "--cache", cache,
                     "--format", *fmt.split()]
             if budget is not None:

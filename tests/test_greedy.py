@@ -445,6 +445,25 @@ class TestCache:
     def test_canonical_check_matches_its_definition(self, body, terms):
         assert _is_canonical(body, terms) == _is_canonical_by_lines(body)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(1, 10 ** 4), max_size=30, unique=True),
+        cap=st.integers(1, 40),
+        by_value=st.booleans(),
+    )
+    def test_a_prefix_of_a_cache_keeps_the_lines_of_its_terms(self, values, cap, by_value):
+        """extend with caps the cache already covers cuts the kept lines to
+        the terms it keeps, and renders none."""
+        terms = (0, *sorted(values))
+        text = "".join(f"{t}\n" for t in terms)
+        seq = GreedySequence(CoefficientTuple((1, 1)), D, terms, terms[-1], (len(terms), text))
+        if by_value:
+            cut = extend(seq, max_value=min(terms[min(cap, len(terms)) - 1] + cap % 3, terms[-1]))
+        else:
+            cut = extend(seq, max_terms=min(cap, len(terms)))
+        assert cut.terms == terms[:len(cut.terms)]
+        assert cut.lines == (len(cut.terms), "".join(f"{t}\n" for t in cut.terms))
+
     @settings(max_examples=300, deadline=None)
     @given(
         values=st.lists(st.integers(1, 10 ** 7), max_size=30, unique=True),
