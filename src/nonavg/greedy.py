@@ -11,8 +11,10 @@ the sieve.
 
 from __future__ import annotations
 
+import json
 import os
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
@@ -532,15 +534,23 @@ def _decimal_size(terms) -> int:
     return size
 
 
-def _is_canonical(body: str, terms) -> bool:
-    """Is body exactly the nonnegative sorted terms in decimal, one line each?
+_DIGITS_AND_NEWLINES = str.maketrans("", "", "0123456789\n")
 
-    A line that int() reads is at least as long as str() of its value, and
-    equally long only when it is that text, and a blank line adds its
-    newline.  So a body that ends in a newline is canonical exactly when it
-    is as long as the canonical text.
+
+def _parse_body(body: str):
+    """The terms of a cache body, and its lines: (len(terms), body) when body
+    is exactly their decimal text, one line each, else (0, "").
+
+    A body of digit lines that ends in a newline is read in one json scan,
+    which succeeds exactly when every line is str(int(line)) and none is
+    blank; any other body is read line by line with int().
     """
-    return body.endswith("\n") and len(body) == _decimal_size(terms)
+    if body.endswith("\n") and not body.startswith("\n") and not body.translate(_DIGITS_AND_NEWLINES):
+        with suppress(ValueError):  # json refuses a leading zero, an empty line and too many digits
+            terms = tuple(json.loads("[" + body[:-1].replace("\n", ",") + "]"))
+            return terms, (len(terms), body)
+    # split("\n"), not splitlines(), which would also split a line at \x0c or \x1c
+    return tuple(map(int, filter(str.strip, body.split("\n")))), (0, "")
 
 
 def write_cache(path, seq: GreedySequence):
@@ -565,19 +575,27 @@ def write_cache(path, seq: GreedySequence):
 def read_cache(path) -> GreedySequence:
     """Read a cache file; ValueError when it is malformed.
 
-    The check is structural: the terms start at 0, strictly increase and end
-    at or below the frontier (an empty cache has a negative frontier).  The
-    terms are not regenerated, which would cost as much as the generation
-    the cache saves, so a well-formed cache of wrong terms is accepted.  The
-    sequence keeps the term lines as read when they are the terms' canonical
-    decimal text; a lenient cache (signs, spaces, leading zeros, blank lines)
-    is rendered again from its integers.
+    The check is structural: the header names each field once, and the terms
+    start at 0, strictly increase and end at or below the frontier (an empty
+    cache has a negative frontier).  The terms are not regenerated, which
+    would cost as much as the generation the cache saves, so a well-formed
+    cache of wrong terms is accepted.  A canonical body (each term's decimal
+    text on its own line) is read in one scan and kept as the sequence's
+    lines; a lenient one (signs, spaces, leading zeros, blank lines) falls
+    back to int() line by line and is rendered again from its integers.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if not header.startswith("# "):
             raise ValueError("missing cache header")
-        fields = dict(part.split("=", 1) for part in header[2:].split())
+        fields = {}
+        for part in header[2:].split():
+            key, eq, value = part.partition("=")
+            if not eq:
+                raise ValueError(f"cache header field {part!r} lacks '='")
+            if key in fields:
+                raise ValueError(f"cache header repeats {key!r}")
+            fields[key] = value
         try:
             coefficients = CoefficientTuple.from_text(fields["tuple"])
             rule = AvoidanceRule.from_text(fields["rule"])
@@ -585,8 +603,7 @@ def read_cache(path) -> GreedySequence:
         except KeyError as exc:
             raise ValueError(f"cache header lacks {exc}") from None
         body = fh.read()
-    # split("\n"), not splitlines(), which would also split a line at \x0c or \x1c
-    terms = tuple(map(int, filter(str.strip, body.split("\n"))))
+    terms, lines = _parse_body(body)
     if not terms:
         if frontier >= 0:
             raise ValueError(f"cache holds no terms up to frontier {frontier}")
@@ -596,5 +613,4 @@ def read_cache(path) -> GreedySequence:
         raise ValueError("cache terms are not strictly increasing")
     elif terms[-1] > frontier:
         raise ValueError(f"cache term {terms[-1]} lies beyond its frontier {frontier}")
-    lines = (len(terms), body) if _is_canonical(body, terms) else (0, "")
     return GreedySequence(coefficients, rule, terms, frontier, lines)

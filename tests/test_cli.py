@@ -203,6 +203,19 @@ class TestGenerate:
         assert err == f"generate: ignoring cache {cache}: cache terms are not strictly increasing\n"
         assert cache.read_text() == "# tuple=1,1 rule=distinct frontier=10\n0\n1\n3\n4\n9\n10\n"
 
+    @pytest.mark.parametrize("header, reason", [
+        ("tuple=1,1 rule=distinct frontier=3 frontier=5", "cache header repeats 'frontier'"),
+        ("tuple=1,1 rule=distinct frontier=3 frontier5", "cache header field 'frontier5' lacks '='"),
+    ])
+    def test_header_with_a_repeated_or_valueless_field_is_reported_and_replaced(self, capsys, tmp_path, header, reason):
+        """Not read as its last value: frontier=5 over 0,1,3 would skip 4."""
+        cache = tmp_path / "s3.cache"
+        cache.write_text(f"# {header}\n0\n1\n3\n")
+        code, out, err = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "5", "--cache", str(cache))
+        assert (code, out) == (0, "0\n1\n3\n4\n9\n")
+        assert err == f"generate: ignoring cache {cache}: {reason}\n"
+        assert cache.read_text() == "# tuple=1,1 rule=distinct frontier=9\n0\n1\n3\n4\n9\n"
+
     def test_cache_without_header_is_reported_and_replaced(self, capsys, tmp_path):
         cache = tmp_path / "s3.cache"
         cache.write_text("0\n1\n3\n")

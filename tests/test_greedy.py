@@ -22,7 +22,7 @@ from nonavg import (
     write_cache,
     zero_one_contains,
 )
-from nonavg.greedy import GreedySequence, Sieve, _is_canonical
+from nonavg.greedy import GreedySequence, Sieve, _parse_body
 
 D = AvoidanceRule.DISTINCT
 N = AvoidanceRule.NOT_ALL_EQUAL
@@ -399,6 +399,13 @@ def _is_canonical_by_lines(body):
     return all(line.strip() and line == str(int(line)) for line in body[:-1].split("\n"))
 
 
+def _parse_body_by_lines(body):
+    """What _parse_body returns, by its definition: the terms int() reads line
+    by line, and the body as their lines exactly when it is canonical."""
+    terms = tuple(map(int, filter(str.strip, body.split("\n"))))
+    return terms, ((len(terms), body) if _is_canonical_by_lines(body) else (0, ""))
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "seq.cache"
@@ -419,14 +426,16 @@ class TestCache:
         "0\n+1\n3\n",  # a sign
         "0\n1\n0_3\n",  # an underscore between digits
         "0\n1\n3\n",  # canonical
+        "\n0\n1\n3\n",  # a leading blank line
+        "0\r1\r3\r",  # a lone CR as line end
     ])
     def test_lenient_term_lines_are_accepted(self, tmp_path, body):
         path = tmp_path / "seq.cache"
         path.write_bytes(b"# tuple=1,1 rule=distinct frontier=3\n" + body.encode())
         seq = read_cache(path)
         assert seq.terms == (0, 1, 3)
-        # The lines are kept only when canonical; universal newlines read CRLF as LF.
-        kept = body.replace("\r\n", "\n") == "0\n1\n3\n"
+        # The lines are kept only when canonical; universal newlines read CRLF and CR as LF.
+        kept = body.replace("\r\n", "\n").replace("\r", "\n") == "0\n1\n3\n"
         assert seq.lines == ((3, "0\n1\n3\n") if kept else (0, ""))
 
     @pytest.mark.parametrize("body, terms", [
@@ -441,9 +450,13 @@ class TestCache:
         ("9\n010\n99\n100\n", (9, 10, 99, 100)),
         ("0\n0_3\n", (0, 3)),
         ("0\n3 \n", (0, 3)),
+        ("\n0\n1\n", (0, 1)),  # a leading blank line
+        ("0\n0\n", (0, 0)),  # canonical digits that do not increase
+        ("0\n1\r\n", (0, 1)),  # a CR before the newline, which a file read in text mode removes
     ])
     def test_canonical_check_matches_its_definition(self, body, terms):
-        assert _is_canonical(body, terms) == _is_canonical_by_lines(body)
+        parsed = _parse_body(body)
+        assert parsed == _parse_body_by_lines(body) and parsed[0] == terms
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -471,7 +484,7 @@ class TestCache:
         final_newline=st.booleans(),
     )
     def test_canonical_check_on_lenient_variants(self, values, edits, final_newline):
-        """The length test against the line-by-line definition, on the
+        """The one-scan read against the line-by-line definition, on the
         canonical text with a few lines spelled leniently, with or without
         the final newline."""
         terms = (0, *sorted(values))
@@ -481,7 +494,8 @@ class TestCache:
             if lines[i].isdigit() or edit in (" ", "\t", "\n"):  # a sign or zeros go before the digits
                 lines[i] = LENIENT_EDITS[edit](lines[i])
         body = "\n".join(lines) + "\n" * final_newline
-        assert _is_canonical(body, terms) == _is_canonical_by_lines(body)
+        parsed = _parse_body(body)
+        assert parsed == _parse_body_by_lines(body) and parsed[0] == terms
 
     @pytest.mark.parametrize("line", ["1 2", "x", "5\x0c6"])
     def test_a_line_that_is_not_one_integer_is_rejected(self, tmp_path, line):
@@ -490,6 +504,25 @@ class TestCache:
         with pytest.raises(ValueError) as info:
             read_cache(path)
         assert str(info.value) == f"invalid literal for int() with base 10: {line!r}"
+
+    def test_a_line_past_the_int_digit_limit_is_rejected_as_int_rejects_it(self, tmp_path):
+        line = "1" * 4301
+        with pytest.raises(ValueError) as expected:
+            int(line)
+        path = tmp_path / "long.cache"
+        path.write_text(f"# tuple=1,1 rule=distinct frontier=9\n0\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            read_cache(path)
+        assert str(info.value) == str(expected.value)
+
+    def test_a_long_round_trip_keeps_the_written_lines(self, tmp_path):
+        path = tmp_path / "long.cache"
+        seq = generate(CoefficientTuple((1, 1)), D, max_terms=1025)
+        write_cache(path, seq)
+        body = path.read_text().split("\n", 1)[1]
+        read = read_cache(path)
+        assert read == seq
+        assert read.lines == (1025, body) == (1025, "".join(f"{t}\n" for t in seq.terms))
 
     def test_write_leaves_no_temporary_file(self, tmp_path):
         path = tmp_path / "seq.cache"
@@ -505,6 +538,7 @@ class TestCache:
         ("frontier=4\n0\n1\n3\n9\n", "beyond its frontier"),
         ("frontier=3\n", "no terms"),
         ("frontier=3\n0\n1\nx\n", "invalid literal"),
+        ("frontier=10\n0\n0\n", "^cache terms are not strictly increasing$"),  # canonical digits
     ])
     def test_malformed_cache_is_rejected(self, tmp_path, body, reason):
         path = tmp_path / "bad.cache"
@@ -537,6 +571,19 @@ class TestCache:
         path.write_text("# tuple=1,1 frontier=3\n0\n1\n3\n")
         with pytest.raises(ValueError, match="lacks 'rule'"):
             read_cache(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("tuple=1,1 rule=distinct frontier=3 frontier=5", "cache header repeats 'frontier'"),
+        ("tuple=1,1 tuple=1,1 rule=distinct frontier=3", "cache header repeats 'tuple'"),
+        ("tuple=1,1 rule=distinct frontier=3 frontier", "cache header field 'frontier' lacks '='"),
+        ("tuple=1,1 distinct frontier=3", "cache header field 'distinct' lacks '='"),
+    ])
+    def test_a_header_field_given_twice_or_without_a_value_is_rejected(self, tmp_path, header, message):
+        path = tmp_path / "bad.cache"
+        path.write_text(f"# {header}\n0\n1\n3\n")
+        with pytest.raises(ValueError) as info:
+            read_cache(path)
+        assert str(info.value) == message
 
     def test_resume_from_cache(self, tmp_path):
         path = tmp_path / "seq.cache"
