@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import nonavg
 from nonavg import KNOWN_CLOSED_FORMS, AvoidanceRule, BudgetExhausted, CoefficientTuple, extend
+from nonavg import cli
 from nonavg.cli import _build_parser, main
 from nonavg.greedy import GreedySequence
 
@@ -425,6 +426,126 @@ class TestBounds:
         assert (code, out, err) == (1, "", "bounds: need --n\n")
 
 
+TOP_USAGE = "usage: nonavg [-h] {generate,discover,verify,bounds} ...\n"
+GENERATE_USAGE = (
+    "usage: nonavg generate [-h] --tuple TUPLE_TEXT [--rule {distinct,notallequal}]\n"
+    "                       [--max-terms MAX_TERMS] [--max-value MAX_VALUE]\n"
+    "                       [--format {json,csv,plain}] [--header] [--cache CACHE]\n"
+    "                       [--node-budget NODE_BUDGET]\n"
+)
+GENERATE_HELP = GENERATE_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --tuple TUPLE_TEXT
+  --rule {distinct,notallequal}
+  --max-terms MAX_TERMS
+  --max-value MAX_VALUE
+  --format {json,csv,plain}
+  --header              emit a header row in csv format
+  --cache CACHE         resumable cache file path
+  --node-budget NODE_BUDGET
+"""
+TOP_HELP = TOP_USAGE + """
+Batch command-line front end. Subcommands: generate (with resumable caches),
+discover, verify, bounds. Exit codes: 0 success, 1 usage or malformed input, 2
+budget exhausted (partial results are flushed first). The environment variable
+NONAVG_NODE_BUDGET overrides the default solver node budget.
+
+positional arguments:
+  {generate,discover,verify,bounds}
+    generate            greedy sequence generation
+    discover            closed-form discovery
+    verify              structure checks
+    bounds              counting and growth bounds reports
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+# (argv, exit code, stdout, stderr) at COLUMNS=80: a happy path of each
+# subcommand, then what argparse itself answers, from the subcommand's parser
+# (its usage) or the top-level one (leftover arguments, help, no or an
+# unknown subcommand, an option before the subcommand).
+DISPATCH_BYTES = [
+    (("generate", "--tuple", "1,1", "--max-terms", "5"), 0, "0\n1\n3\n4\n9\n", ""),
+    (("generate", "--tuple", "1,1,1", "--rule", "notallequal", "--max-value", "10", "--format", "csv", "--header"),
+     0, "term\n0,1,4,5\n", ""),
+    (("generate", "--tuple", "1,1", "--max-t", "3"), 0, "0\n1\n3\n", ""),
+    (("discover", "--tuple", "1,1"), 0,
+     '{"tuple": "1,1", "c": 1, "R": [0], "cond_i": {"lhs": 1, "rhs": 1, "pass": true}, '
+     '"cond_ii": [{"r1": 0, "j": 0, "H": [], "witness": [0, 0]}], "overall": true, '
+     '"found": true, "closed_form": "c=1 base=3 R=0"}\n', ""),
+    (("verify", "props", "--tuple", "1,1", "--n", "16"), 0,
+     "PASS popcount residue law n<16\nPASS bit-parity sequence law n<16\n", ""),
+    (("bounds", "--tuple", "1,1", "--n", "81"), 0,
+     '{"n": 81, "exact": 16, "lower": 7.999999999999999, "upper": 31.999999999999996, '
+     '"theta": 0.6309297535714574, "params": {"d": 2}}\n', ""),
+    (("generate", "--tuple", "1,1", "--max-terms", "3", "--bogus"), 1, "",
+     TOP_USAGE + "nonavg: error: unrecognized arguments: --bogus\n"),
+    (("bounds", "--tuple", "1,1", "--n", "81", "extra"), 1, "",
+     TOP_USAGE + "nonavg: error: unrecognized arguments: extra\n"),
+    (("generate", "--max-terms", "3"), 1, "",
+     GENERATE_USAGE + "nonavg generate: error: the following arguments are required: --tuple\n"),
+    (("generate", "--tuple", "1,1", "--rule", "sometimes", "--max-terms", "3"), 1, "",
+     GENERATE_USAGE + "nonavg generate: error: argument --rule: invalid choice: 'sometimes' "
+     "(choose from 'distinct', 'notallequal')\n"),
+    (("generate", "--tuple", "1,1", "--max-terms", "x"), 1, "",
+     GENERATE_USAGE + "nonavg generate: error: argument --max-terms: invalid int value: 'x'\n"),
+    (("generate", "--tuple", "1,1", "--he"), 1, "",
+     GENERATE_USAGE + "nonavg generate: error: ambiguous option: --he could match --help, --header\n"),
+    (("verify", "table3"), 1, "",
+     "usage: nonavg verify [-h] [--m M] [--rows ROWS] [--tuple TUPLE_TEXT] [--n N]\n"
+     "                     [--max-frontier MAX_FRONTIER] [--node-budget NODE_BUDGET]\n"
+     "                     {table1,table2,props}\n"
+     "nonavg verify: error: argument target: invalid choice: 'table3' (choose from 'table1', 'table2', 'props')\n"),
+    (("generate", "-h"), 0, GENERATE_HELP, ""),
+    (("--help",), 0, TOP_HELP, ""),
+    ((), 1, "", TOP_USAGE + "nonavg: error: the following arguments are required: command\n"),
+    (("frobnicate", "--tuple", "1,1"), 1, "",
+     TOP_USAGE + "nonavg: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'generate', 'discover', 'verify', 'bounds')\n"),
+    (("--tuple", "1,1", "generate", "--max-terms", "3"), 1, "",
+     TOP_USAGE + "nonavg: error: argument command: invalid choice: '1,1' "
+     "(choose from 'generate', 'discover', 'verify', 'bounds')\n"),
+]
+# The calls argparse answers itself, with help or a usage error.
+ARGPARSE_ANSWERS = [argv for argv, code, out, _ in DISPATCH_BYTES if code or "usage:" in out]
+
+
+class TestDispatch:
+    """Which parser reads a call changes neither the bytes nor the parsed arguments."""
+
+    @pytest.mark.parametrize("argv, code, out, err", DISPATCH_BYTES, ids=[" ".join(c[0]) for c in DISPATCH_BYTES])
+    def test_bytes(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", [c[0] for c in DISPATCH_BYTES if c[0] not in ARGPARSE_ANSWERS], ids=" ".join)
+    def test_namespace_matches_the_top_level_parser(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setitem(cli._RUNNERS, argv[0], lambda args, out: seen.append(args) or 0)
+        assert main(list(argv)) == 0
+        assert seen == [_build_parser().parse_args(list(argv))]
+
+    def test_entry_point_reads_sys_argv(self, capsys, monkeypatch, tmp_path):
+        """main() parses sys.argv[1:] as main(list) parses the list: a cache step and a usage error."""
+        cache = tmp_path / "s3.cache"
+        run(capsys, "generate", "--tuple", "1,1", "--max-terms", "6", "--cache", str(cache))
+        start = cache.read_bytes()
+        for argv in [
+            ("generate", "--tuple", "1,1", "--max-terms", "9", "--format", "json", "--cache", str(cache)),
+            ("generate", "--tuple", "1,1", "--max-terms", "9", "--bogus"),
+        ]:
+            cache.write_bytes(start)
+            from_list = run(capsys, *argv), cache.read_bytes()
+            cache.write_bytes(start)
+            monkeypatch.setattr(sys, "argv", ["nonavg", *argv])
+            code = main()
+            captured = capsys.readouterr()
+            assert ((code, captured.out, captured.err), cache.read_bytes()) == from_list
+        assert from_list[0][0] == 1 and from_list[1] == start
+
+
 class TestParserReuse:
     """The parser is built once per process; reusing it changes no output."""
 
@@ -446,8 +567,9 @@ class TestParserReuse:
             ("generate", "--tuple", "1,1", "--rule", "sometimes", "--max-terms", "3"),
             ("bounds", "--tuple", "1,1", "--n", "81"),
             ("--help",),
+            *ARGPARSE_ANSWERS,
         ]
         in_process = [run(capsys, *argv) for argv in calls]
         assert in_process == [self.fresh(*argv) for argv in calls]
-        assert [code for code, _, _ in in_process] == [1, 0, 0]
+        assert [code for code, _, _ in in_process[:3]] == [1, 0, 0]
         assert "invalid choice: 'sometimes' (choose from 'distinct', 'notallequal')" in in_process[0][2]
