@@ -29,9 +29,11 @@ MAX_N_DIGITS = 4300
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+    """The argument parser, built once per process; its ``subcommands`` maps
+    each subcommand's name to that subcommand's own parser."""
     parser = argparse.ArgumentParser(prog="nonavg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     gen = sub.add_parser("generate", help="greedy sequence generation")
     gen.add_argument("--tuple", required=True, dest="tuple_text")
@@ -302,10 +304,23 @@ _RUNNERS = {
 }
 
 
-def main(argv=None) -> int:
+def _parse_args(argv):
+    """The parsed arguments of argv, read by the named subcommand's own parser
+    in one pass.  Everything else goes to the top-level parser, which would
+    hand a subcommand's arguments to that same parser: no arguments, help, an
+    unknown subcommand, an option before the subcommand, and arguments the
+    subcommand leaves over, whose usage error it words."""
     parser = _build_parser()
+    if argv and argv[0] in parser.subcommands:
+        args, rest = parser.subcommands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     out = sys.stdout

@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from operator import lt
 from typing import NamedTuple
 
@@ -148,7 +148,6 @@ class _WindowSieve(Sieve):
 
     def __init__(self, seq: GreedySequence):
         super().__init__(seq)
-        self.terms_set = set(self.terms)
         d = seq.coefficients.weight
         roles = _open_roles(seq.coefficients.coeffs, self.distinct)
         # Slots after sigma: the averaged value first, with coefficient -d.
@@ -207,7 +206,6 @@ class _WindowSieve(Sieve):
 
     def _accept(self, t, node_budget):
         """Add the solutions that use the new term t."""
-        self.terms_set.add(t)
         budget = _Budget(node_budget)
         d = self.coefficients.weight
         for sigma, slots in self.role_slots:  # t as the averaged value
@@ -223,7 +221,7 @@ class _WindowSieve(Sieve):
         blocked = self.blocked
         for acc, _, last in _iter_assignments(
             slots, -sigma * (self.hi - 1) - base, -sigma * (self.frontier + 1) - base,
-            self.terms, self.terms_set, used, self.distinct, budget,
+            self.terms, None, used, self.distinct, budget,
         ):
             top = -base - acc - sigma * lo  # sigma*(n - lo) for a last value of 0
             if sigma == 1:
@@ -609,7 +607,7 @@ def read_cache(path) -> GreedySequence:
             raise ValueError(f"cache holds no terms up to frontier {frontier}")
     elif terms[0] != 0:
         raise ValueError(f"cache starts at {terms[0]}, not 0")
-    elif not all(map(lt, terms, terms[1:])):
+    elif not all(map(lt, terms, islice(terms, 1, None))):
         raise ValueError("cache terms are not strictly increasing")
     elif terms[-1] > frontier:
         raise ValueError(f"cache term {terms[-1]} lies beyond its frontier {frontier}")

@@ -95,10 +95,12 @@ def _iter_assignments(slots, lo_sum, hi_sum, pool, pool_set, used, distinct, bud
     but one: a negative slot before the last (the averaged value, written as
     a slot of coefficient -d) runs descending, so the first tuple is the
     canonical one.  A one-value target (lo_sum == hi_sum) yields groups of
-    one value.
+    one value.  A last slot left with at most one value looks it up in
+    ``pool_set``, or, when that is None, by one bisection of ``pool``.
     """
     k = len(slots)
     pmin, pmax = pool[0], pool[-1]
+    ptop = len(pool) - 1  # a bisection bounded by it lands on a pool value
     sufmin = [0] * (k + 1)
     sufmax = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
@@ -118,9 +120,11 @@ def _iter_assignments(slots, lo_sum, hi_sum, pool, pool_set, used, distinct, bud
         if floor_v > v_lo:
             v_lo = floor_v
         if i == k - 1:
-            if v_lo >= v_hi:  # at most one value: a set lookup
+            if v_lo >= v_hi:  # at most one value: one lookup
                 budget.spend()
-                if v_lo == v_hi and v_lo in pool_set and not (distinct and v_lo in used):
+                if v_lo == v_hi and (
+                    v_lo in pool_set if pool_set is not None else pool[bisect_left(pool, v_lo, 0, ptop)] == v_lo
+                ) and not (distinct and v_lo in used):
                     yield acc, tuple(out), [v_lo]
                 return
             last = pool[bisect_left(pool, v_lo):bisect_right(pool, v_hi)]

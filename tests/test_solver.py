@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonavg import (
     AvoidanceRule,
@@ -17,6 +18,7 @@ from nonavg import (
     verify_solution_free,
     witness_satisfies,
 )
+from nonavg.solver import _Budget, _iter_assignments
 
 D = AvoidanceRule.DISTINCT
 N = AvoidanceRule.NOT_ALL_EQUAL
@@ -260,3 +262,24 @@ def test_witness_digest():
         lines.append(repr((kind, e.coeffs, rule.value, ground, value, w and w.values)))
     assert len(lines) > 1000
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WITNESS_DIGEST
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pool=st.lists(st.integers(0, 60), min_size=1, max_size=9, unique=True).map(sorted),
+    slots=st.lists(st.sampled_from([-4, -3, -2, -1, 1, 2, 3]), min_size=1, max_size=3),
+    lo=st.integers(-300, 300),
+    width=st.sampled_from([0, 0, 0, 1, 2, 5, 20]),
+    used=st.sets(st.integers(0, 60), max_size=3),
+    distinct=st.booleans(),
+)
+def test_one_value_lookup_by_set_or_bisection(pool, slots, lo, width, used, distinct):
+    """A last slot left with one value finds it by set lookup or, given no
+    set, by bisection, with the same groups and the same nodes."""
+    def groups_and_nodes(pool_set):
+        budget = _Budget(None)
+        own_used = set(used) if distinct or used else None
+        groups = list(_iter_assignments(tuple(slots), lo, lo + width, pool, pool_set, own_used, distinct, budget))
+        return groups, budget.nodes
+
+    assert groups_and_nodes(set(pool)) == groups_and_nodes(None)
