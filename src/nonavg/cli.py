@@ -305,11 +305,10 @@ _RUNNERS = {
 
 
 def _parse_args(argv):
-    """The parsed arguments of argv, read by the named subcommand's own parser
-    in one pass.  Everything else goes to the top-level parser, which would
-    hand a subcommand's arguments to that same parser: no arguments, help, an
-    unknown subcommand, an option before the subcommand, and arguments the
-    subcommand leaves over, whose usage error it words."""
+    """argv parsed in one pass by the subcommand's own parser when argv[0]
+    names one.  The top-level parser, which hands a subcommand's arguments to
+    that same parser, takes every other call and any call that leaves
+    arguments over, so help and usage errors read as before."""
     parser = _build_parser()
     if argv and argv[0] in parser.subcommands:
         args, rest = parser.subcommands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
