@@ -1,6 +1,7 @@
 """Command-line front end: formats, exit codes, caches, budget handling."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -285,6 +286,82 @@ class TestDiscover:
         assert err == (
             "discover: search budget exhausted after 26 nodes in residue completeness at scale 12, cell (r1=9, j=1)\n"
         )
+
+
+def _digest(records):
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) of `discover --tuple T` at
+# the default caps: the 25 catalog rows, then the 10 uncataloged sorted valid
+# tuples of length 3 to 5.  Recorded before the completeness check was swept
+# slack by slack.
+DISCOVER_DIGESTS = {
+    "1,1,1": "c9b3a69621e7b10c4f6d648c5b805d3ffaa32d8438e0b0922e9955cc451b9d89",
+    "1,1,2": "d01697452f0aa66d9e77aec59f5ebd4466d9f869e991f66fc031da0b5ef0131c",
+    "1,1,1,1": "bf9140e0071afba33c357d7fb7f5dd24034e8b10504d696dbafcbfa501c0ed10",
+    "1,1,1,2": "ba0cdb1ab502456f78770a3adf684cc02023b0b25b71d6419cfeddaec7a2797f",
+    "1,1,2,3": "0cf4f96b290590ab7f4b0f86d115f54d3c666b2468b77521fa0c209fd73b71ed",
+    "1,1,2,4": "6f166d8f0770c070afe44994bf96df81565dcfe5e3b640cb3ef64aee88b98093",
+    "1,1,1,1,1": "4e56b07752b17903f937e003ddf3d3261c25680af7968df488c9153c24b384ec",
+    "1,1,1,1,2": "a617ddabaea2a35144a5e757bfadacb5c1eeeef36f0a35b540b0ebc0102fe640",
+    "1,1,1,1,3": "33568b066dd8fc602d2b52943d7ef929d64f277d262a5fd83bfbb8b98809a3db",
+    "1,1,1,1,4": "3463aa40fa6c7dce8e591e4cc08f4a4bfc49f1709ecdcce8713d45e1cc984b18",
+    "1,1,1,2,2": "3e381e9f7643875ce9bea0225d902244b6ee0f95a51ec7f97993d30c7e8129ad",
+    "1,1,1,2,3": "ac3159d02572a2dc7f2b5d1c1e5c77d5257aa7a9f20300bfbb0853602f9e7a99",
+    "1,1,1,3,3": "0b7b827f1bfe80616192ba99473bae5e567cf97a010b53391cf29260a810c0b9",
+    "1,1,1,3,4": "e30412f37f7fdfea390c0cb9e51990055c8983090d6e9b65c33bbbb8ac09e984",
+    "1,1,1,3,5": "04cb1526291fa9a141c4eb75643968ac2abdc3572c7c215195ad484d45d48a81",
+    "1,1,1,3,6": "319100f2b5afa89d2d59c5b636bda5e6f3f6e69386debeb6c22413088f53dcd3",
+    "1,1,2,2,2": "573b1e88e194236de80483422106901cdc27e1ae23eebe145e6f72b02fc498dd",
+    "1,1,2,2,3": "7492130a5d29dc56d78b34ec1bf1078e49fb52f50657316d38b7ec393e03143f",
+    "1,1,2,2,5": "f15833b0283fc9b00ef76142796f3108cf7005fb0b0c995d2c78737d699b3205",
+    "1,1,2,2,6": "b40cab27f2d3509af8f5dc26e01b7b5157440619ae5876b4615b979fe5695190",
+    "1,1,2,3,3": "b20df33d7e2ddb8832620631985c188582e795672ab0f44aca73b95a3326fe7e",
+    "1,1,2,3,4": "d7a044fb392b37d177ba37f27e7eecc5cec493bc046b4b53ae49a13f8f074e61",
+    "1,1,2,3,7": "dba55362f9bc6afe6bea052f9473532fc0e0e76dd22904f773b2af132c12a2d6",
+    "1,1,2,4,4": "da64df93cc4b09d755f2b429fb2048455cb6555b5af7a8a2e74b46b026f9ced9",
+    "1,1,2,4,7": "93565c5b3ace8d67ee19b890c28a8e9762cf1e01832aebb2a471bee9e5f5029d",
+    "1,1,1,3": "b8e7c8494a0b4145073ea33727a61ab709e68455e6cc7006381af2466d523d3d",
+    "1,1,2,2": "463dabc47580afed1bf4985ccad9447ad17a59dc7e48472c44f7c3c5a2981ccf",
+    "1,1,1,2,4": "74afa21393a5e1a22668f5f92190b926d318d34fe93df1d641438f3564d7a9aa",
+    "1,1,1,2,5": "3e63b14d2cd86a816a26955512e165373f4fd79f231f865b33a6248258d4339e",
+    "1,1,2,2,4": "0e595753f139094a5e21df1d851642027b5a756573c821f14009179dc985a3d2",
+    "1,1,2,3,5": "d689d371bdc94085ee8abce098e3348ea6176da1231c94915b9e5842794c200e",
+    "1,1,2,3,6": "38b058a810d740863eca826aa56efbe7dea9302b836480b3bc87ec53a97106dc",
+    "1,1,2,4,5": "836527caefb3a98d1cf6c9b679ce746a8376f11983b70a39050af6987b66cb95",
+    "1,1,2,4,6": "12c5bc46bfea5904361640e419663ad7dd23613018666124c032fa7dd00e119a",
+    "1,1,2,4,8": "d4294c4811b2c18be8f9bd03b951caffbe0de4ddad64fca3b94f82a4a7aba5b2",
+}
+
+# tuple -> (the least --node-budget at which discover completes, sha256 of the
+# json.dumps list of [exit code, stdout, stderr] at every budget from 0 up to
+# it), recorded with DISCOVER_DIGESTS.
+DISCOVER_BUDGET_SWEEP_DIGESTS = {
+    "1,1,1": (30, "f1824e3e2d3303ad60d4aa30fb5c123808253929ff0bcab661c1f63fc59c9179"),
+    "1,1,2,4": (255, "5d2477fed516e49c44776ea964f6c342035e11b4ef19cd5bd749519db2316389"),
+    "1,1,1,1,1": (328, "c8cc8e75a3884f7c6c589e787b75c5e4ca88d20f418ab7dfc5e1872936e77df5"),
+}
+
+
+class TestDiscoverBytes:
+    """discover's exit code, stdout and stderr, pinned by digest."""
+
+    @pytest.fixture(autouse=True)
+    def default_budget(self, monkeypatch):
+        monkeypatch.delenv("NONAVG_NODE_BUDGET", raising=False)
+
+    def test_rows(self, capsys):
+        assert {",".join(map(str, coeffs)) for coeffs in KNOWN_CLOSED_FORMS} < set(DISCOVER_DIGESTS)
+        got = {text: _digest(run(capsys, "discover", "--tuple", text)) for text in DISCOVER_DIGESTS}
+        assert got == DISCOVER_DIGESTS
+
+    @pytest.mark.parametrize("text", DISCOVER_BUDGET_SWEEP_DIGESTS)
+    def test_every_budget_up_to_completion(self, capsys, text):
+        records = []
+        while not records or records[-1][0] == 2:
+            records.append(run(capsys, "discover", "--tuple", text, "--node-budget", str(len(records))))
+        assert (len(records) - 1, _digest(records)) == DISCOVER_BUDGET_SWEEP_DIGESTS[text]
 
 
 class TestVerify:
