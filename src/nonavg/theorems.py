@@ -17,8 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
-from operator import attrgetter, itemgetter
+from itertools import combinations, islice
+from operator import attrgetter, itemgetter, neg
 from typing import NamedTuple
 
 from .closedform import ClosedForm
@@ -101,24 +101,35 @@ def check_scale_identity(coefficients, residues, scale) -> ConditionIResult:
     return ConditionIResult(lhs=scale, rhs=1 + d * max(residues) - correction)
 
 
-def _assignment_table(coeffs, residues):
-    """dict sum -> stored assignments of pairwise distinct residues to positions
-    weighted by ``coeffs``.
+def _head_prefixes(coeffs, residues):
+    """The assignments of every coefficient group but the last, in
+    lexicographic order, as (values, weighted sum) pairs, and the last group
+    as (coefficient, count).
 
-    Assignments are met in lexicographic order, built one coefficient group
-    at a time: each group takes one increasing combination of the residues
-    not used yet.  Any other order inside a group has the same sum and value
-    set and comes later, so it could never be stored.  One is stored only
-    while it shrinks the intersection of the stored value sets, so for every
-    single value v the first stored assignment avoiding v is the
-    lexicographically first with that sum avoiding v, whenever one exists.
-    The last group is streamed, never built as a list.
+    Each group takes one increasing combination of the residues not used
+    yet: any other order inside a group has the same sum and value set and
+    comes later in lexicographic order.  The last group is left to the
+    caller to stream, never built as a list.
     """
     *head, (last, n) = coefficient_groups(coeffs) or [(0, 0)]
     prefixes = [((), 0)]
     for c, k in head:
         prefixes = [(vals + combo, acc + c * sum(combo)) for vals, acc in prefixes
                     for combo in combinations([v for v in residues if v not in vals], k)]
+    return prefixes, last, n
+
+
+def _assignment_table(coeffs, residues):
+    """dict sum -> stored assignments of pairwise distinct residues to positions
+    weighted by ``coeffs``.
+
+    Assignments are met in lexicographic order (see ``_head_prefixes``).  One
+    is stored only while it shrinks the intersection of the stored value
+    sets, so for every single value v the first stored assignment avoiding v
+    is the lexicographically first with that sum avoiding v, whenever one
+    exists.
+    """
+    prefixes, last, n = _head_prefixes(coeffs, residues)
     out = {}
     inter = {}
     for vals, acc in prefixes:
@@ -137,6 +148,20 @@ def _assignment_table(coeffs, residues):
     return out
 
 
+def _first_assignments(coeffs, residues):
+    """``_assignment_table`` with only the first stored assignment per sum:
+    dict sum -> [the lexicographically first assignment of pairwise distinct
+    residues to positions weighted by ``coeffs``]."""
+    prefixes, last, n = _head_prefixes(coeffs, residues)
+    out = {}
+    for vals, acc in prefixes:
+        for combo in combinations([v for v in residues if v not in vals], n):
+            s = acc + last * sum(combo)
+            if s not in out:
+                out[s] = [vals + combo]
+    return out
+
+
 def _slack_plans(coeffs_at, d, residues):
     """Per slack j, one search plan per inside coefficient key of sum j, and
     the number of position subsets of sum j.
@@ -144,18 +169,29 @@ def _slack_plans(coeffs_at, d, residues):
     Subsets come in size-then-lexicographic order, and a plan is made for the
     first subset with each inside key: later ones have the same tables, so
     they find a witness exactly when it does.  A plan is (subset, number of
-    slack-j subsets up to and including it, inside sums ascending, their
-    stored assignments, outside table, least and greatest outside sum,
-    reorder, memo): ``reorder`` puts inside-then-outside values back in
-    position order, and ``memo`` caches the first stored inside assignment
-    avoiding a given r_m.  Tables depend only on the coefficients of their
-    positions, so equal ones are built once.
+    slack-j subsets up to and including it, sign, walk, look, least and
+    greatest member of look, inside table, outside table, reorder, memo).
+
+    The search reads an outside table only for its first stored assignment
+    per sum, so only an inside key (sum at most d-2) gets its full table; the
+    one key that is never inside, all of the positions, gets
+    ``_first_assignments``.  A plan walks the side with fewer sums and looks
+    the other up, fixed per plan.  With sign 1 it walks the inside sums
+    upward and looks up outside sums.  With sign -1 it walks the negated
+    outside sums upward, the outside sums downward, and looks up negated
+    inside sums.  Either way, for a target sum ``needed`` the walk value w
+    pairs with sign*needed - w, and the inside sums come upward, so the
+    first pair found has the least inside sum.  ``reorder`` puts
+    inside-then-outside values back in position order, and ``memo`` caches
+    the first stored inside assignment avoiding a given r_m.  Tables depend
+    only on the coefficients of their positions, so equal ones are built
+    once.
     """
     npos = len(coeffs_at)
 
     @cache
     def table(key):
-        return _assignment_table(key, residues)
+        return _assignment_table(key, residues) if sum(key) <= d - 2 else _first_assignments(key, residues)
 
     plans = [{} for _ in range(d - 1)]
     counts = [0] * (d - 1)
@@ -170,7 +206,12 @@ def _slack_plans(coeffs_at, d, residues):
                 continue
             outside = tuple(i for i in range(npos) if i not in inside)
             in_table, out_table = table(key), table(tuple(coeffs_at[i] for i in outside))
-            in_sums = sorted(in_table) if out_table else []  # no witness without an outside assignment
+            if not out_table:  # no witness without an outside assignment
+                sign, walk, look = 1, [], ()
+            elif len(out_table) < len(in_table):
+                sign, walk, look = -1, sorted(map(neg, out_table)), set(map(neg, in_table))
+            else:
+                sign, walk, look = 1, sorted(in_table), out_table
             order = inside + outside
             # itemgetter of a single index returns a bare value; up to one
             # position needs no reordering.
@@ -178,11 +219,13 @@ def _slack_plans(coeffs_at, d, residues):
             plans[j][key] = (
                 tuple(i + 2 for i in inside),
                 counts[j],
-                in_sums,
-                [in_table[s] for s in in_sums],
+                sign,
+                walk,
+                look,
+                min(look, default=0),
+                max(look, default=0),
+                in_table,
                 out_table,
-                min(out_table, default=0),
-                max(out_table, default=0),
                 reorder,
                 {},
             )
@@ -199,6 +242,17 @@ def check_residue_completeness(coefficients, residues, scale, node_budget=None) 
     node is one (cell, averaged residue, subset) step: a pass over one
     averaged residue spends the subsets up to the one that succeeds, or all
     subsets of the slack when none does.
+
+    The search runs slack by slack over a block of offsets.  Within a slack
+    the averaged residues go upward, each slack's plan in subset order over
+    the offsets still without a witness, so each cell meets its (r_m, plan)
+    pairs in the order above.  A row of offsets spends at most
+    len(rs) * sum(counts) nodes, so a block is as many rows as the remaining
+    budget covers in that worst case, and cannot run out.  A row that could
+    run out is a block of its own: its cells then finish in slack order, the
+    order of one offset after another, and the budget is checked as each
+    finishes, so the cell named is the one where the running count first
+    passes the budget.
     """
     require_valid(coefficients)
     coeffs = coefficients.coeffs
@@ -210,45 +264,66 @@ def check_residue_completeness(coefficients, residues, scale, node_budget=None) 
     plans, counts = _slack_plans(coeffs[1 : m - 1], d, rs)
     cond_i = check_scale_identity(coefficients, rs, scale)
 
+    n = len(rs)
     drs = [d * r for r in rs]
+    firsts = [bisect_left(drs, r1) for r1 in range(scale)]  # every smaller r_m leaves a negative sum
+    row_nodes = n * sum(counts)
+    new_cell = tuple.__new__  # CellResult's own __new__ is a Python-level call
+    cells = [None] * (scale * (d - 1))
     nodes = 0
-    cells = []
-    for r1 in range(scale):
-        first = bisect_left(drs, r1)  # every smaller r_m leaves a negative sum
+    start = 0
+    while start < scale:
+        stop = min(scale, start + max((cap - nodes) // row_nodes, 1))
         for j, slack_plans in enumerate(plans):
-            found = None
-            for k in range(first, len(rs)):
+            count = counts[j]
+            rows = []  # offsets of the block still without a witness, ascending
+            below = start
+            for k in range(n):
                 r_m = rs[k]
-                needed = drs[k] - r1
-                for subset, upto, in_sums, in_stored, out_table, lo_out, hi_out, reorder, memo in slack_plans:
-                    top = needed - lo_out
-                    for i in range(bisect_left(in_sums, needed - hi_out), len(in_sums)):
-                        s_in = in_sums[i]
-                        if s_in > top:
-                            break
-                        outs = out_table.get(needed - s_in)
-                        if outs is None:
+                dk = drs[k]
+                rows += range(below, min(dk + 1, stop))  # offsets whose least r_m is this one
+                below = max(below, dk + 1)
+                for subset, upto, sign, walk, look, lo, hi, in_table, out_table, reorder, memo in slack_plans:
+                    left = []
+                    for r1 in rows:
+                        needed = dk - r1
+                        base = sign * needed
+                        top = base - lo
+                        in_assign = None
+                        for w in islice(walk, bisect_left(walk, base - hi), None):
+                            if w > top:
+                                break
+                            if base - w not in look:
+                                continue
+                            s_in = w if sign > 0 else w + needed
+                            in_assign = in_table[s_in][0]
+                            if r_m in in_assign:
+                                key = (s_in, r_m)
+                                in_assign = memo.get(key, False)
+                                if in_assign is False:
+                                    in_assign = memo[key] = next((a for a in in_table[s_in] if r_m not in a), None)
+                            if in_assign is not None:
+                                break
+                        if in_assign is None:
+                            left.append(r1)
                             continue
-                        in_assign = in_stored[i][0]
-                        if r_m in in_assign:
-                            key = (i, r_m)
-                            in_assign = memo.get(key, False)
-                            if in_assign is False:
-                                in_assign = memo[key] = next((a for a in in_stored[i] if r_m not in a), None)
-                        if in_assign is not None:
-                            found = CellResult(r1, j, subset, reorder(in_assign + outs[0]) + (r_m,))
-                            break
-                    if found is not None:
-                        break
-                # a hit spends the subsets up to its plan's H, a miss all of the slack's
-                nodes += counts[j] if found is None else upto
-                if nodes > cap:  # the nodes ran out inside this pass, one past the cap
+                        # a hit spends the subsets of every earlier r_m and those up to its plan's H
+                        nodes += (k - firsts[r1]) * count + upto
+                        if nodes > cap:  # the nodes ran out inside this cell, one past the cap
+                            raise BudgetExhausted(
+                                cap + 1, where=f"residue completeness at scale {scale}, cell (r1={r1}, j={j})"
+                            )
+                        witness = reorder(in_assign + out_table[needed - s_in][0]) + (r_m,)
+                        cells[r1 * (d - 1) + j] = new_cell(CellResult, (r1, j, subset, witness))
+                    rows = left
+            for r1 in [*rows, *range(below, stop)]:  # a miss spends every subset of the slack per r_m
+                nodes += (n - firsts[r1]) * count
+                if nodes > cap:
                     raise BudgetExhausted(
                         cap + 1, where=f"residue completeness at scale {scale}, cell (r1={r1}, j={j})"
                     )
-                if found is not None:
-                    break
-            cells.append(found or CellResult(r1, j, None, None))
+                cells[r1 * (d - 1) + j] = new_cell(CellResult, (r1, j, None, None))
+        start = stop
     return ConditionReport(coefficients, scale, rs, cond_i, tuple(cells))
 
 
