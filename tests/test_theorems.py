@@ -25,7 +25,7 @@ from nonavg import (
     validate_cell,
     verify_family_prefix,
 )
-from nonavg.theorems import CellResult, _assignment_table
+from nonavg.theorems import CellResult, _assignment_table, _first_assignments, _slack_plans
 
 E4 = CoefficientTuple((1, 1, 1))
 
@@ -251,10 +251,10 @@ def reference_search(coeffs, residues, scale):
 
 
 @st.composite
-def valid_tuples(draw, max_len=5):
+def valid_tuples(draw, min_len=2, max_len=5):
     """Valid tuples: d_1 = 1 and each entry at most the sum of the ones before."""
     coeffs = [1]
-    for _ in range(draw(st.integers(min_value=1, max_value=max_len - 1))):
+    for _ in range(draw(st.integers(min_value=min_len - 1, max_value=max_len - 1))):
         coeffs.append(draw(st.integers(min_value=coeffs[-1], max_value=sum(coeffs))))
     return tuple(coeffs)
 
@@ -283,9 +283,43 @@ def test_completeness_with_runs_matches_brute_force_reference(coeffs, residues, 
     assert report.to_json_dict() == reference_report(coeffs, residues, scale)
 
 
+def plan_signs(coeffs, residues):
+    """subset H -> the sign of its plan: 1 walks the inside sums, -1 the outside sums."""
+    plans, _ = _slack_plans(coeffs[1:], sum(coeffs), tuple(sorted(set(residues))))
+    return {plan[0]: plan[2] for slack_plans in plans for plan in slack_plans}
+
+
+def test_completeness_in_both_scan_directions_matches_brute_force_reference():
+    """Residues spread up to 3,000 give tables of many distinct sums, so a
+    plan walks the inside sums upward when they are no more than the outside
+    sums, and the outside sums downward when those are fewer.  The drawn
+    cases find witnesses in both directions."""
+    directions = set()  # the sign of each plan that found a witness
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([5, 6]).flatmap(lambda size: valid_tuples(min_len=size, max_len=size)),
+        st.lists(st.one_of(st.integers(-3, 12), st.integers(13, 3000)), min_size=2, max_size=5, unique=True),
+        st.integers(min_value=1, max_value=150),
+    )
+    def check(coeffs, residues, scale):
+        report = check_residue_completeness(CoefficientTuple(coeffs), residues, scale)
+        assert report.to_json_dict() == reference_report(coeffs, residues, scale)
+        sign = plan_signs(coeffs, residues)
+        directions.update(sign[cell.subset] for cell in report.cells if cell.passed)
+
+    check()
+    assert directions == {1, -1}
+
+
 @pytest.mark.parametrize(
     "coeffs,residues,scale",
-    [((1, 1, 1, 1, 1), (0, 1, 2, 4), 9), ((1, 1, 1, 2, 2), (0, 1, 2, 5), 10), ((1, 1, 2, 2, 2), (0, 1, 3, 4), 11)],
+    [
+        ((1, 1, 1, 1, 1), (0, 1, 2, 4), 9),
+        ((1, 1, 1, 2, 2), (0, 1, 2, 5), 10),
+        ((1, 1, 2, 2, 2), (0, 1, 3, 4), 11),
+        ((1, 1, 1, 2, 2), (10, 11, 13, 15, 29), 4),
+    ],
 )
 def test_budget_sweep_matches_reference_node_counts(coeffs, residues, scale):
     """A node is one (cell, r_m, H) option in the reference's order, so every
@@ -300,6 +334,21 @@ def test_budget_sweep_matches_reference_node_counts(coeffs, residues, scale):
         assert info.value.nodes == b + 1
         assert info.value.where == f"residue completeness at scale {scale}, cell (r1={r1}, j={j})"
     assert check_residue_completeness(e, residues, scale, node_budget=len(stops)).to_json_dict() == report
+
+
+def test_budget_sweep_case_walks_both_ways_over_two_plans():
+    """The last budget-sweep case has a plan that walks the outside sums, a
+    slack with two plans whose second finds a witness, and a cell whose
+    witness is not at its least averaged residue."""
+    coeffs, residues, scale = (1, 1, 1, 2, 2), (10, 11, 13, 15, 29), 4
+    d = sum(coeffs)
+    sign = plan_signs(coeffs, residues)
+    plans, _ = _slack_plans(coeffs[1:], d, residues)
+    second = {slack_plans[1][0] for slack_plans in plans if len(slack_plans) > 1}
+    cells = [cell for cell in check_residue_completeness(CoefficientTuple(coeffs), residues, scale).cells if cell.passed]
+    assert any(sign[cell.subset] == -1 for cell in cells)
+    assert any(cell.subset in second for cell in cells)
+    assert any(cell.residues[-1] > min(r for r in residues if d * r >= cell.r1) for cell in cells)
 
 
 @st.composite
@@ -319,7 +368,8 @@ def keys_with_runs(draw):
 @given(keys_with_runs())
 def test_assignment_table_contract(drawn):
     """The first stored assignment per sum, and the first one avoiding each
-    value, are the lexicographically first permutations that qualify."""
+    value, are the lexicographically first permutations that qualify; the
+    first-assignment table stores that first one alone."""
     key, rs = drawn
     table = _assignment_table(key, rs)
     first, first_avoiding = {}, {}
@@ -330,6 +380,7 @@ def test_assignment_table_contract(drawn):
             if v not in vals:
                 first_avoiding.setdefault((s, v), vals)
     assert {s: stored[0] for s, stored in table.items()} == first
+    assert _first_assignments(key, rs) == {s: [vals] for s, vals in first.items()}
     for s, stored in table.items():
         for v in rs:
             assert next((a for a in stored if v not in a), None) == first_avoiding.get((s, v)), (s, v)
