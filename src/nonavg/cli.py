@@ -259,6 +259,10 @@ def _run_verify(args, out) -> int:
             limit = _parse_n(args.n)
             if limit < 0:
                 raise ValueError(f"n must be nonnegative, got {args.n!r}")
+            # One node per member checked: a limit past the budget would
+            # run out of it at member max(budget, 0), so stop before the loop.
+            if limit > max(budget, 0):
+                raise BudgetExhausted(max(budget, 0) + 1)
             # One pass: each law reads the n-th zero-one member once.
             d = coefficients.weight
             residue_ok = parity_ok = True

@@ -79,26 +79,38 @@ def _open_roles(coeffs, distinct):
 
 class _SumsetLayout(NamedTuple):
     """The bitset states of ``_SumsetSieve`` for one tuple and rule, indexed
-    by sub-multiset M of the roles' rest slots, shortest first (M = () is 0)."""
+    by sub-multiset M of the roles' rest slots, shortest first (M = () is 0),
+    and the update an accepted term runs on them."""
 
-    parts: tuple  # per state M: (w(B), index of M - B) for the slot sets B a new term fills
-    light: tuple  # the states of the sigma = 1 roles' rests
+    program: tuple  # per state M but (), largest first: (index, sum parts, gap parts, light)
     heavy: tuple  # (sigma, index of rest) for the sigma > 1 roles
+    states: int  # the number of states
     update_nodes: int  # the nodes of one update that does not widen the bitsets
 
 
 @lru_cache(maxsize=256)
 def _sumset_layout(coeffs, distinct):
     """The layout that every sumset sieve of this tuple and rule shares; it
-    holds only tuples, so no sieve can change another's."""
+    holds only tuples, so no sieve can change another's.
+
+    A part (w(B), index of M - B) is a slot set B of M that a new term
+    fills.  Every part is a sum part, and a gap part only when w(B) < d - 1:
+    the gap shifts of the others land at or below the term (see
+    ``_SumsetSieve``)."""
+    d = sum(coeffs)
     roles = _open_roles(coeffs, distinct)
     rests = {rest for _, rest in roles}
     states = sorted(rests.union(r for m in rests for _, r in _splits(m, False)), key=len)
     index = {m: i for i, m in enumerate(states)}
-    parts = tuple(tuple((w, index[r]) for w, r in _splits(m, distinct)) for m in states)
-    light = tuple(index[rest] for sigma, rest in roles if sigma == 1)
+    light = {rest for sigma, rest in roles if sigma == 1}
+    program = []
+    nodes = 1 + len(light)  # the empty state's one shift-or, and the OR of each light state
+    for m in reversed(states[1:]):
+        parts = tuple((w, index[r]) for w, r in _splits(m, distinct))
+        program.append((index[m], parts, tuple(p for p in parts if p[0] < d - 1), m in light))
+        nodes += 2 * len(parts) + 1
     heavy = tuple((sigma, index[rest]) for sigma, rest in roles if sigma > 1)
-    return _SumsetLayout(parts, light, heavy, sum(2 * len(p) + 1 for p in parts) + len(light))
+    return _SumsetLayout(tuple(program), heavy, len(states), nodes)
 
 
 class Sieve:
@@ -250,25 +262,42 @@ class _SumsetSieve(Sieve):
     others: sums[M] gains sums[M - B] + w(B)*t and gaps[M] gains
     gaps[M - B] - w(B)*t, one shift-or each; and with t as x, gaps[M] gains
     d*t - sums[M], one more (the sums before t under the distinct rule,
-    after it under the not-all-equal rule).  Gap values at or below the
-    frontier stay in the bitsets but are never read.  The next term is the
-    least value above the frontier that the OR of the sigma = 1 roles' gaps
-    leaves open and no sigma > 1 role forbids, tested bit by bit.
+    after it under the not-all-equal rule).  The layout holds this update as
+    a program, one entry per state, largest first: the state's index, its
+    sum parts, its gap parts and whether it is a sigma = 1 role's rest, whose
+    new gaps go into the OR of those roles as soon as the state is done.
+    The empty state M = () has no parts and no entry: after the program it
+    only gains d*t in its gaps, and its sums stay the sum 0.
 
-    A node is one big-int operation: a shift-or or OR of an update, a
-    lookup of the next value the sigma = 1 roles leave open, or one bit
-    test against a sigma > 1 role.  An update's node count is known before
-    it starts and is spent first, so an update the budget refuses leaves
-    the bitsets as they were, and the next ``advance`` applies it before it
-    searches.
+    Gap values at or below the frontier stay in the bitsets but are never
+    read: the search starts above the frontier, a sigma > 1 role tests
+    sigma*n for n above it, and later updates only shift gaps down.  So a
+    gap shift that lands at or below t is dead.  Before t, gaps[M - B] holds
+    values at most d times the previous term, below d*t; shifted down by
+    w(B)*t they fall below (d - w(B))*t, so every part with w(B) >= d - 1
+    is left out of the gap shifts (under both rules for (1, 1), and once in
+    every not-all-equal layout, where B is a sigma = 1 role's whole rest).
+    The next term is the least value above the frontier that the OR of the
+    sigma = 1 roles' gaps leaves open and no sigma > 1 role forbids, tested
+    bit by bit: the lowest clear bit of that OR shifted down to the
+    frontier + 1, found without a sign as (x ^ (x + 1)).bit_length() - 1,
+    and set when a sigma > 1 role forbids the value.
+
+    A node is one big-int operation: a shift-or of the update's plan (a
+    dead gap shift left out still counts as one, so node counts do not
+    depend on it) or an OR into the sigma = 1 roles' gaps, a lookup of the
+    next value those roles leave open, or one bit test against a sigma > 1
+    role.  An update's node count is known before it starts and is spent
+    first, so an update the budget refuses leaves the bitsets as they were,
+    and the next ``advance`` applies it before it searches.
     """
 
     def __init__(self, seq: GreedySequence):
         super().__init__(seq)
         self.layout = _sumset_layout(seq.coefficients.coeffs, self.distinct)
         self.top = 0
-        self.sums = [1] + [0] * (len(self.layout.parts) - 1)  # state 0 is the empty M: the sum 0
-        self.gaps = [0] * len(self.layout.parts)
+        self.sums = [1] + [0] * (self.layout.states - 1)  # state 0 is the empty M: the sum 0
+        self.gaps = [0] * self.layout.states
         self.open_gaps = 0  # the OR of the sigma = 1 roles' gaps
         self.pending = None  # an accepted term whose update the budget refused
 
@@ -278,8 +307,7 @@ class _SumsetSieve(Sieve):
         term and the update for an accepted one run inline, and the state
         goes back to the sieve once, when the loop returns or the budget
         runs out."""
-        parts, light, heavy, update_nodes = self.layout
-        last = len(parts) - 1
+        program, heavy, states, update_nodes = self.layout
         d = self.coefficients.weight
         distinct = self.distinct
         cap = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
@@ -293,13 +321,13 @@ class _SumsetSieve(Sieve):
                 if pending is None:  # search for the next term
                     nodes = 0
                     start = frontier + 1
-                    free = ~(open_gaps >> start)  # bit i set: start + i is open to the sigma = 1 roles
+                    shut = open_gaps >> start  # bit i clear: start + i is open to the sigma = 1 roles
                     while True:
                         nodes += 1
                         if nodes > cap:
                             raise BudgetExhausted(nodes)
-                        low = free & -free
-                        n = start + low.bit_length() - 1
+                        filled = shut + 1  # shut with its lowest clear bit set and the ones below it cleared
+                        n = start + (shut ^ filled).bit_length() - 1
                         if max_value is not None and n > max_value:
                             n = None
                             break
@@ -311,7 +339,7 @@ class _SumsetSieve(Sieve):
                                 break
                         else:
                             break
-                        free ^= low
+                        shut |= filled  # a sigma > 1 role forbids n: set its bit
                     if n is None:
                         frontier = max_value
                         break
@@ -321,7 +349,7 @@ class _SumsetSieve(Sieve):
                 # first, so a refused one leaves the bitsets as they were.
                 dt = d * pending
                 grow = dt > top
-                nodes = update_nodes + grow * len(parts)
+                nodes = update_nodes + grow * states
                 if nodes > cap:
                     raise BudgetExhausted(nodes)
                 if grow:  # keep top >= d*t, so that every sum, at most (d - 1)*t, has a bit
@@ -335,18 +363,18 @@ class _SumsetSieve(Sieve):
                 # part made the C allocator return and refault heap pages
                 # around the big ints on long (1,1) runs (4,096 terms: 35,766
                 # minor faults and 0.58 s, against 859 and 0.47 s in this order).
-                for i in range(last, -1, -1):
-                    p = parts[i]
+                for i, sum_parts, gap_parts, light in program:
                     s = before = sums[i]
-                    for w, j in p:
+                    for w, j in sum_parts:
                         s |= sums[j] >> w * pending
                     g = gaps[i] | (before if distinct else s) >> down
-                    for w, j in p:
+                    for w, j in gap_parts:
                         g |= gaps[j] >> w * pending
                     sums[i] = s
                     gaps[i] = g
-                for i in light:
-                    open_gaps |= gaps[i]
+                    if light:
+                        open_gaps |= g
+                gaps[0] |= sums[0] >> down  # the empty state: d*t, with no parts
                 pending = None
         except BudgetExhausted as exc:
             spent = exc.nodes

@@ -437,6 +437,24 @@ class TestVerify:
         assert code == 0 and err == ""
         assert out == "PASS popcount residue law n<0\nPASS bit-parity sequence law n<0\n"
 
+    @pytest.mark.parametrize("n, budget, code", [
+        ("1e400", "1000", 2), ("16", "16", 0), ("17", "16", 2), ("0", "-3", 0), ("1", "-3", 2),
+    ])
+    def test_props_budget(self, capsys, n, budget, code):
+        """One node per member checked, counted before the loop: an --n of
+        400 digits with a budget of 1,000 exits 2 at once.  A budget of k
+        covers --n k, and a negative budget acts as 0."""
+        result = run(capsys, "verify", "props", "--tuple", "1,1", "--n", n, "--node-budget", budget)
+        assert result[0] == code
+        if code == 2:
+            nodes = max(int(budget), 0) + 1
+            assert result[1:] == ("", f"verify: search budget exhausted after {nodes} nodes\n")
+
+    def test_props_budget_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("NONAVG_NODE_BUDGET", "5")
+        code, out, err = run(capsys, "verify", "props", "--tuple", "1,1", "--n", "16")
+        assert (code, out, err) == (2, "", "verify: search budget exhausted after 6 nodes\n")
+
 
 class TestBounds:
     def test_tuple_report(self, capsys):

@@ -23,6 +23,7 @@ from nonavg import (
     zero_one_contains,
 )
 from nonavg.greedy import GreedySequence, Sieve, _parse_body
+from nonavg.theorems import KNOWN_CLOSED_FORMS
 
 D = AvoidanceRule.DISTINCT
 N = AvoidanceRule.NOT_ALL_EQUAL
@@ -286,7 +287,7 @@ def test_sumset_sieves_share_a_frozen_layout(rule):
 
 
 @pytest.mark.parametrize("rule", [D, N])
-@pytest.mark.parametrize("coeffs", [(1, 1, 2), (1, 1, 1, 1)])
+@pytest.mark.parametrize("coeffs", [(1, 1, 2), (1, 1, 1, 1), (1, 1)])
 def test_update_refused_where_the_bitsets_grow(coeffs, rule):
     """A budget that covers an update but not the widening of its bitsets
     stops the sieve at the first term that widens them, 1, with the term
@@ -300,16 +301,54 @@ def test_update_refused_where_the_bitsets_grow(coeffs, rule):
         return sieve
 
     layout = fresh(0).layout
-    for budget in range(layout.update_nodes, layout.update_nodes + len(layout.parts)):
+    for budget in range(layout.update_nodes, layout.update_nodes + layout.states):
         sieve = Sieve(GreedySequence(e, rule, (), -1))
         with pytest.raises(BudgetExhausted) as info:
             sieve.advance(max_terms=20, node_budget=budget)
-        assert info.value.nodes == layout.update_nodes + len(layout.parts)
+        assert info.value.nodes == layout.update_nodes + layout.states
         assert info.value.partial.terms == (0, 1) and sieve.pending == 1
         assert _state(sieve) == _state(fresh(1))
         assert sieve.advance(max_terms=20) == generate(e, rule, max_terms=20)
         assert sieve.pending is None
         assert _state(sieve) == _state(fresh(20))
+
+
+# The generate benchmark's tuples and the catalog rows, with the number of
+# terms to follow each for.
+DEAD_SHIFT_CASES = [((1, 1), 64), ((1, 1, 1), 40), ((1, 1, 2), 25), ((1, 1, 1, 1), 20)]
+DEAD_SHIFT_CASES += [(coeffs, 12) for coeffs in KNOWN_CLOSED_FORMS if coeffs not in dict(DEAD_SHIFT_CASES)]
+
+
+@pytest.mark.parametrize("rule", [D, N])
+@pytest.mark.parametrize("coeffs, max_terms", DEAD_SHIFT_CASES)
+def test_dead_gap_shifts_change_no_bit_above_the_frontier(coeffs, max_terms, rule):
+    """The update leaves out exactly the gap parts with w(B) >= d - 1, and
+    after every accepted term each sum bitset, and each gap bitset above the
+    frontier, equals that of a reference update on sets of values that
+    applies every part."""
+    e = CoefficientTuple(coeffs)
+    d, distinct = e.weight, rule is D
+    sieve = Sieve(GreedySequence(e, rule, (), -1))
+    program = sieve.layout.program
+    for _, sum_parts, gap_parts, _ in program:
+        assert gap_parts == tuple(p for p in sum_parts if p[0] < d - 1)
+    # w(B) = d - 1 only where B is the whole rest of a sigma = 1 role; under
+    # the distinct rule B is one slot, so only (1, 1) has such a part.
+    skipped = sum(len(sum_parts) - len(gap_parts) for _, sum_parts, gap_parts, _ in program)
+    assert skipped == (1 if rule is N or coeffs == (1, 1) else 0)
+    sums = [{0}] + [set() for _ in program]
+    gaps = [set() for _ in sums]
+    for k in range(1, max_terms + 1):
+        t = sieve.advance(max_terms=k).terms[-1]
+        for i, sum_parts, _, _ in program:
+            before = sums[i]
+            sums[i] = before | {s + w * t for w, j in sum_parts for s in sums[j]}
+            gaps[i] = gaps[i] | {d * t - s for s in (before if distinct else sums[i])}
+            gaps[i] |= {g - w * t for w, j in sum_parts for g in gaps[j]}
+        gaps[0] = gaps[0] | {d * t}
+        start = sieve.frontier + 1
+        assert sieve.sums == [sum(1 << sieve.top - s for s in values) for values in sums]
+        assert [g >> start for g in sieve.gaps] == [sum(1 << g - start for g in values if g >= start) for values in gaps]
 
 
 # Six to eight coefficients in repeated groups: one new term fills many
