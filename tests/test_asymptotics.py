@@ -84,6 +84,16 @@ class TestTermGrowth:
         assert rep.exact == 50  # 12 * (binary 10 read in base 4) + 2
         assert rep.lower <= rep.exact <= rep.upper
 
+    @pytest.mark.parametrize("subject", [E3, CF12], ids=["tuple", "closed-form"])
+    def test_rejects_n_below_one(self, subject):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            term_growth_bounds(subject, 0)
+
+    @pytest.mark.parametrize("subject", [E3, CF12], ids=["tuple", "closed-form"])
+    def test_exact_is_none_past_63_bits(self, subject):
+        rep = term_growth_bounds(subject, 1 << 45)
+        assert rep.exact is None and 0 < rep.lower < rep.upper
+
     def test_sandwich_along_sequence(self):
         for n in (1, 2, 7, 30, 100, 500):
             rep = term_growth_bounds(E3, n)

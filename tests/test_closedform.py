@@ -22,6 +22,7 @@ from nonavg import (
 )
 from nonavg.closedform import (
     _TABLE_SIZE, _binary_in_base, _bits_table, _count_zero_one_below_dp, _is_zero_one, _rank_table, _zero_one_rank,
+    zero_one_prefix,
 )
 from nonavg.tuples import VALUE_LIMIT
 
@@ -43,6 +44,13 @@ class TestZeroOneNth:
     def test_overflow(self):
         with pytest.raises(Overflow):
             zero_one_nth(E3, 1 << 45)
+
+    def test_prefix_overflow(self):
+        wide = CoefficientTuple((1, 1) + tuple(1 << k for k in range(1, 62)))  # base 2^62 + 1
+        prefix = zero_one_prefix(wide, 5)
+        assert [next(prefix) for _ in range(4)] == [0, 1, wide.base, wide.base + 1]
+        with pytest.raises(Overflow, match="^term does not fit in 63 bits$"):
+            next(prefix)
 
     def test_requires_valid_tuple(self):
         with pytest.raises(InvalidTuple):
@@ -131,6 +139,24 @@ class TestClosedFormType:
     def test_text_round_trip(self):
         assert ClosedForm.from_text(CF12.text()) == CF12
         assert CF12.text() == "c=12 base=4 R=0,1,2,3,4"
+
+    def test_fields_cannot_be_assigned(self):
+        for name in ("base", "scale", "residues", "coefficients", "other"):
+            with pytest.raises(AttributeError):
+                setattr(CF12, name, 5)
+        assert CF12.text() == "c=12 base=4 R=0,1,2,3,4" and CF12.coefficients is E4
+
+    def test_equality_and_hash_ignore_the_tuple(self):
+        plain = ClosedForm(4, 12, [4, 3, 2, 1, 0, 0])
+        assert plain.coefficients is None
+        assert plain == CF12 and hash(plain) == hash(CF12) and len({plain, CF12}) == 1
+        assert CF12 != ClosedForm(4, 12, range(4))
+        assert CF12 != ClosedForm(4, 13, range(5))
+        assert CF12 != ClosedForm(5, 12, range(5))
+        assert CF12 != CF12.text()
+
+    def test_repr(self):
+        assert repr(CF12) == "ClosedForm('c=12 base=4 R=0,1,2,3,4')"
 
 
 @pytest.mark.parametrize(

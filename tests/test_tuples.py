@@ -9,6 +9,7 @@ from nonavg import (
     ClosedForm,
     CoefficientTuple,
     InvalidTuple,
+    SubsetSumTable,
     check_residue_completeness,
     check_scale_identity,
     count_zero_one_below,
@@ -59,6 +60,21 @@ class TestConstruction:
 
     def test_uniform(self):
         assert CoefficientTuple.uniform(5).coeffs == (1, 1, 1, 1)
+
+    def test_fields_cannot_be_assigned(self):
+        e = CoefficientTuple((1, 1, 2))
+        for name in ("coeffs", "weight", "other"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, (1, 1))
+        assert e.coeffs == (1, 1, 2) and e.weight == 4
+
+    def test_equal_tuples_hash_equal(self):
+        a, b = CoefficientTuple((2, 1, 1)), CoefficientTuple([1, 1, 2])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != CoefficientTuple((1, 1, 1)) and a != (1, 1, 2)
+
+    def test_repr(self):
+        assert repr(CoefficientTuple((2, 1, 1))) == "CoefficientTuple(1,1,2)"
 
     def test_uniform_needs_three_terms(self):
         with pytest.raises(InvalidTuple, match="uniform tuples need m >= 3"):
@@ -150,6 +166,12 @@ class TestSubsetSumTable:
     def test_deterministic(self):
         e = CoefficientTuple((1, 1, 2, 4))
         assert subset_sum_table(e).entries == subset_sum_table(e).entries
+
+    def test_check_finds_a_wrong_entry(self):
+        e = CoefficientTuple((1, 1, 2))
+        table = subset_sum_table(e)
+        assert table.check()
+        assert not SubsetSumTable(e, {**table.entries, 2: frozenset({2})}).check()
 
 
 def test_every_validity_gate_raises_one_error():
