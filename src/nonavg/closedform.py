@@ -13,11 +13,12 @@ step through small per-base tables.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import Overflow
-from .tuples import VALUE_LIMIT, CoefficientTuple, require_valid
+from .tuples import VALUE_LIMIT, CoefficientTuple, parse_fields, require_valid
 
 
 class Decomposition(NamedTuple):
@@ -243,57 +244,46 @@ def count_zero_one_below_dp(coefficients: CoefficientTuple, n: int) -> int:
     return _count_zero_one_below_dp(n, coefficients.base)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ClosedForm:
     """Members are scale * v + r, v with 0/1 digits in the base, r a residue.
 
     Residues are stored sorted and deduplicated; they must include 0 as the
     least and stay below the scale, which makes ``nth`` strictly increasing.
+    Equality and hash go by the base, scale and residues, not the tuple.
     """
 
-    __slots__ = ("base", "scale", "residues", "coefficients", "_walk")
+    base: int
+    scale: int
+    residues: tuple
+    coefficients: CoefficientTuple | None = field(default=None, compare=False)
+    _walk: tuple = field(init=False, compare=False)  # the base's _rank_table
 
-    def __init__(self, base: int, scale: int, residues, coefficients: CoefficientTuple | None = None):
-        if base < 2:
+    def __post_init__(self):
+        if self.base < 2:
             raise ValueError("base must be at least 2")
-        if scale < 1:
+        if self.scale < 1:
             raise ValueError("scale must be positive")
-        rs = tuple(sorted(set(residues)))
+        rs = tuple(sorted(set(self.residues)))
         if not rs or rs[0] != 0:
             raise ValueError("residues must include 0")
-        if rs[-1] >= scale:
+        if rs[-1] >= self.scale:
             raise ValueError("residues must be below the scale")
-        if coefficients is not None:
-            require_valid(coefficients)
-            if coefficients.base != base:
+        if self.coefficients is not None:
+            require_valid(self.coefficients)
+            if self.coefficients.base != self.base:
                 raise ValueError("base must equal the tuple weight plus one")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "residues", rs)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "_walk", _rank_table(base))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClosedForm is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClosedForm)
-            and (self.base, self.scale, self.residues) == (other.base, other.scale, other.residues)
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.scale, self.residues))
+        object.__setattr__(self, "_walk", _rank_table(self.base))
 
     def __repr__(self):
         return f"ClosedForm({self.text()!r})"
 
     @classmethod
     def from_text(cls, text: str, coefficients=None) -> "ClosedForm":
-        """Parse the report syntax ``c=<int> base=<int> R=<csv>``."""
-        fields = {}
-        for part in text.split():
-            key, _, value = part.partition("=")
-            fields[key] = value
+        """Parse the report syntax ``c=<int> base=<int> R=<csv>``, each field
+        given once (``tuples.parse_fields``)."""
+        fields = parse_fields(text, "closed form")
         try:
             scale = int(fields["c"])
             base = int(fields["base"])

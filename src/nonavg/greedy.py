@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExhausted
 from .solver import DEFAULT_NODE_BUDGET, AvoidanceRule, _Budget, _iter_assignments, creates_solution
-from .tuples import CoefficientTuple, coefficient_groups
+from .tuples import CoefficientTuple, coefficient_groups, parse_fields
 
 # The sieve's window of candidates starts this wide and doubles at each
 # refill, up to WINDOW_MAX bytes of forbidden-value flags.
@@ -233,7 +233,7 @@ class _WindowSieve(Sieve):
         blocked = self.blocked
         for acc, _, last in _iter_assignments(
             slots, -sigma * (self.hi - 1) - base, -sigma * (self.frontier + 1) - base,
-            self.terms, None, used, self.distinct, budget,
+            self.terms, used, self.distinct, budget,
         ):
             top = -base - acc - sigma * lo  # sigma*(n - lo) for a last value of 0
             if sigma == 1:
@@ -396,13 +396,11 @@ def _prefix_within(seq: GreedySequence, max_terms, max_value):
         terms = terms[:max_terms]
         frontier = terms[-1]
     elif max_value is not None and max_value <= seq.frontier:
-        frontier = max_value
+        frontier = max(max_value, -1)  # an empty prefix's frontier is -1
     else:
         return None
-    k, text = seq.lines
-    if len(terms) < k:  # keep the lines of the terms kept
-        k, text = len(terms), text[:_decimal_size(terms)]
-    return GreedySequence(seq.coefficients, seq.rule, terms, frontier, (k, text))
+    lines = seq.lines if len(terms) == len(seq.terms) else (0, "")  # the lines of every term or none
+    return GreedySequence(seq.coefficients, seq.rule, terms, frontier, lines)
 
 
 def _continue(seq: GreedySequence, max_terms, max_value, node_budget) -> GreedySequence:
@@ -430,6 +428,8 @@ def skip_witness(seq: GreedySequence, value: int, node_budget=None):
     """Recompute the rejection witness for a skipped integer at or below the frontier."""
     if value in set(seq.terms):
         raise ValueError(f"{value} is a term, not a skip")
+    if value > seq.frontier:
+        raise ValueError(f"{value} lies beyond the frontier {seq.frontier}, so it is not decided yet")
     ground = seq.terms[:bisect_right(seq.terms, value)]
     return creates_solution(ground, value, seq.coefficients, seq.rule, node_budget)
 
@@ -549,17 +549,6 @@ def rendered(seq: GreedySequence) -> GreedySequence:
     return GreedySequence(seq.coefficients, seq.rule, seq.terms, seq.frontier, (len(seq.terms), text))
 
 
-def _decimal_size(terms) -> int:
-    """The length of the decimal lines of the nonnegative sorted terms: each
-    term's digits and a newline."""
-    size = 2 * len(terms)
-    power = 10
-    while terms and terms[-1] >= power:  # one more digit for each term >= power
-        size += len(terms) - bisect_left(terms, power)
-        power *= 10
-    return size
-
-
 _DIGITS_AND_NEWLINES = str.maketrans("", "", "0123456789\n")
 
 
@@ -603,7 +592,7 @@ def read_cache(path) -> GreedySequence:
 
     The check is structural: the header names each field once, and the terms
     start at 0, strictly increase and end at or below the frontier (an empty
-    cache has a negative frontier).  The terms are not regenerated, which
+    cache has the frontier -1).  The terms are not regenerated, which
     would cost as much as the generation the cache saves, so a well-formed
     cache of wrong terms is accepted.  A canonical body (each term's decimal
     text on its own line) is read in one scan and kept as the sequence's
@@ -614,14 +603,7 @@ def read_cache(path) -> GreedySequence:
         header = fh.readline().strip()
         if not header.startswith("# "):
             raise ValueError("missing cache header")
-        fields = {}
-        for part in header[2:].split():
-            key, eq, value = part.partition("=")
-            if not eq:
-                raise ValueError(f"cache header field {part!r} lacks '='")
-            if key in fields:
-                raise ValueError(f"cache header repeats {key!r}")
-            fields[key] = value
+        fields = parse_fields(header[2:], "cache header")
         try:
             coefficients = CoefficientTuple.from_text(fields["tuple"])
             rule = AvoidanceRule.from_text(fields["rule"])
@@ -630,6 +612,8 @@ def read_cache(path) -> GreedySequence:
             raise ValueError(f"cache header lacks {exc}") from None
         body = fh.read()
     terms, lines = _parse_body(body)
+    if frontier < -1:
+        raise ValueError(f"cache frontier {frontier} lies below -1")
     if not terms:
         if frontier >= 0:
             raise ValueError(f"cache holds no terms up to frontier {frontier}")

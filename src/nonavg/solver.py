@@ -79,7 +79,7 @@ def _check_values_small(values):
             raise ValueError(f"value {v} outside [0, 2^63)")
 
 
-def _iter_assignments(slots, lo_sum, hi_sum, pool, pool_set, used, distinct, budget):
+def _iter_assignments(slots, lo_sum, hi_sum, pool, used, distinct, budget):
     """Yield (acc, prefix, last) for value tuples on ``slots`` whose weighted
     total lies in [lo_sum, hi_sum].
 
@@ -95,8 +95,8 @@ def _iter_assignments(slots, lo_sum, hi_sum, pool, pool_set, used, distinct, bud
     but one: a negative slot before the last (the averaged value, written as
     a slot of coefficient -d) runs descending, so the first tuple is the
     canonical one.  A one-value target (lo_sum == hi_sum) yields groups of
-    one value.  A last slot left with at most one value looks it up in
-    ``pool_set``, or, when that is None, by one bisection of ``pool``.
+    one value.  A last slot left with at most one value looks it up by one
+    bisection of ``pool``.
     """
     k = len(slots)
     pmin, pmax = pool[0], pool[-1]
@@ -122,9 +122,8 @@ def _iter_assignments(slots, lo_sum, hi_sum, pool, pool_set, used, distinct, bud
         if i == k - 1:
             if v_lo >= v_hi:  # at most one value: one lookup
                 budget.spend()
-                if v_lo == v_hi and (
-                    v_lo in pool_set if pool_set is not None else pool[bisect_left(pool, v_lo, 0, ptop)] == v_lo
-                ) and not (distinct and v_lo in used):
+                found = v_lo == v_hi and pool[bisect_left(pool, v_lo, 0, ptop)] == v_lo
+                if found and not (distinct and v_lo in used):
                     yield acc, tuple(out), [v_lo]
                 return
             last = pool[bisect_left(pool, v_lo):bisect_right(pool, v_hi)]
@@ -172,7 +171,7 @@ def _assemble(coeffs, pairs, rhs):
     return tuple(out)
 
 
-def _blocking_witness(terms, terms_set, candidate, coefficients, rule, budget):
+def _blocking_witness(terms, candidate, coefficients, rule, budget):
     """First witness over terms + {candidate} that uses the candidate, or None.
 
     ``terms`` must be solution-free, sorted, and exclude the candidate.
@@ -189,17 +188,17 @@ def _blocking_witness(terms, terms_set, candidate, coefficients, rule, budget):
     d = coefficients.weight
     distinct = rule is AvoidanceRule.DISTINCT
     if distinct:
-        pool, pool_set, used = terms, terms_set, {candidate}
+        pool, used = terms, {candidate}
     else:
         pool = list(terms)
         insort(pool, candidate)
-        pool_set, used = terms_set | {candidate}, None
+        used = None
     equation = (-d,) + tuple(sorted(coeffs, reverse=True))
     for role in (-d,) + tuple(sorted(set(coeffs), reverse=True)):
         slots = list(equation)
         slots.remove(role)
         target = -role * candidate
-        for _, prefix, last in _iter_assignments(slots, target, target, pool, pool_set, used, distinct, budget):
+        for _, prefix, last in _iter_assignments(slots, target, target, pool, used, distinct, budget):
             vals = prefix + (last[0],)
             if distinct or any(v != candidate for v in vals):
                 pairs = list(zip(slots, vals)) + [(role, candidate)]
@@ -217,10 +216,9 @@ def creates_solution(ground, candidate, coefficients, rule, node_budget=None):
     terms = sorted(set(ground))
     _check_values_small(terms)
     _check_values_small((candidate,))
-    if candidate in set(terms):
+    if candidate in terms:
         raise ValueError("candidate must not be in the ground set")
-    budget = _Budget(node_budget)
-    return _blocking_witness(terms, set(terms), candidate, coefficients, rule, budget)
+    return _blocking_witness(terms, candidate, coefficients, rule, _Budget(node_budget))
 
 
 def _group_partitions(values, groups):

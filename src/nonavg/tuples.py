@@ -7,12 +7,14 @@ nondecreasing order, defines the equation
 
 This module owns the tuple representation, the validity test (two
 equivalent routes, kept independent on purpose), the grouping of equal
-coefficients, and the subset-sum tables used by the closed-form machinery.
+coefficients, the subset-sum tables used by the closed-form machinery, and
+the strict ``key=value`` field syntax of the cache header and closed-form
+text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 from .errors import InvalidTuple
@@ -22,17 +24,20 @@ from .errors import InvalidTuple
 VALUE_LIMIT = 1 << 63
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class CoefficientTuple:
     """Immutable nondecreasing tuple of positive coefficients.
 
     Constructors accept any ordering and sort it; sortedness is a
-    normalization convention, not a semantic restriction.
+    normalization convention, not a semantic restriction.  Equality and
+    hash go by the coefficients.
     """
 
-    __slots__ = ("coeffs", "weight")
+    coeffs: tuple
+    weight: int = field(init=False, compare=False)
 
-    def __init__(self, coeffs):
-        values = tuple(sorted(coeffs))
+    def __post_init__(self):
+        values = tuple(sorted(self.coeffs))
         if len(values) < 2:
             raise InvalidTuple("need at least two coefficients")
         for v in values:
@@ -47,9 +52,6 @@ class CoefficientTuple:
             raise InvalidTuple("total weight exceeds the 63-bit limit")
         object.__setattr__(self, "coeffs", values)
         object.__setattr__(self, "weight", total)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoefficientTuple is immutable")
 
     @property
     def m(self) -> int:
@@ -81,14 +83,25 @@ class CoefficientTuple:
     def text(self) -> str:
         return ",".join(str(v) for v in self.coeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, CoefficientTuple) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return f"CoefficientTuple({self.text()})"
+
+
+def parse_fields(text: str, what: str) -> dict:
+    """The whitespace-separated ``key=value`` parts of text as a dict.
+
+    A part without ``=`` or a key given twice is a ValueError whose message
+    starts with ``what``, such as "cache header" or "closed form".
+    """
+    fields = {}
+    for part in text.split():
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"{what} field {part!r} lacks '='")
+        if key in fields:
+            raise ValueError(f"{what} repeats {key!r}")
+        fields[key] = value
+    return fields
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,26 @@ class TestGenerate:
         assert err == f"generate: ignoring cache {cache}: {reason}\n"
         assert cache.read_text() == "# tuple=1,1 rule=distinct frontier=9\n0\n1\n3\n4\n9\n"
 
+    def test_a_negative_max_value_leaves_a_cache_that_resumes(self, capsys, tmp_path):
+        cache = tmp_path / "s3.cache"
+        code, out, err = run(
+            capsys, "generate", "--tuple", "1,1", "--max-value", "-3", "--cache", str(cache), "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"tuple": "1,1", "rule": "distinct", "frontier": -1, "terms": []}
+        assert cache.read_text() == "# tuple=1,1 rule=distinct frontier=-1\n"
+        code, out, err = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "3", "--cache", str(cache))
+        assert (code, out, err) == (0, "0\n1\n3\n", "")
+        assert cache.read_text() == "# tuple=1,1 rule=distinct frontier=3\n0\n1\n3\n"
+
+    def test_a_cache_frontier_below_minus_one_is_reported_and_replaced(self, capsys, tmp_path):
+        cache = tmp_path / "s3.cache"
+        cache.write_text("# tuple=1,1 rule=distinct frontier=-5\n")
+        code, out, err = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "3", "--cache", str(cache))
+        assert (code, out) == (0, "0\n1\n3\n")
+        assert err == f"generate: ignoring cache {cache}: cache frontier -5 lies below -1\n"
+        assert cache.read_text() == "# tuple=1,1 rule=distinct frontier=3\n0\n1\n3\n"
+
     def test_cache_without_header_is_reported_and_replaced(self, capsys, tmp_path):
         cache = tmp_path / "s3.cache"
         cache.write_text("0\n1\n3\n")
@@ -469,6 +489,15 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", "--cf", "c=12 base=4 R=0,1,2,3,4", "--n", "48")
         assert code == 0
         assert json.loads(out)["exact"] == 10
+
+    @pytest.mark.parametrize("cf, message", [
+        ("c=12 c=13 base=4 R=0,1,2,3,4", "closed form repeats 'c'"),
+        ("c=12 base=4 R=0,1,2,3,4 oops", "closed form field 'oops' lacks '='"),
+    ])
+    def test_cf_text_is_strict(self, capsys, cf, message):
+        """Not answered for the last c, nor with the stray part left out."""
+        code, out, err = run(capsys, "bounds", "--cf", cf, "--n", "1000")
+        assert (code, out, err) == (1, "", f"nonavg: {message}\n")
 
     def test_cf_with_a_negative_residue(self, capsys):
         code, out, err = run(capsys, "bounds", "--cf", "c=12 base=4 R=-1,0,1", "--n", "48")

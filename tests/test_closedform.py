@@ -141,7 +141,7 @@ class TestClosedFormType:
         assert CF12.text() == "c=12 base=4 R=0,1,2,3,4"
 
     def test_fields_cannot_be_assigned(self):
-        for name in ("base", "scale", "residues", "coefficients", "other"):
+        for name in ("base", "scale", "residues", "coefficients"):
             with pytest.raises(AttributeError):
                 setattr(CF12, name, 5)
         assert CF12.text() == "c=12 base=4 R=0,1,2,3,4" and CF12.coefficients is E4
@@ -168,6 +168,8 @@ class TestClosedFormType:
         (lambda: zero_one_nth(E4, -1), "index must be nonnegative"),
         (lambda: CF12.nth(-1), "index must be nonnegative"),
         (lambda: ClosedForm.from_text("c=x base=4 R=0"), "cannot parse closed form 'c=x base=4 R=0'"),
+        (lambda: ClosedForm.from_text("c=12 c=13 base=4 R=0,1,2,3,4"), "closed form repeats 'c'"),
+        (lambda: ClosedForm.from_text("c=12 base=4 R=0,1,2,3,4 oops"), "closed form field 'oops' lacks '='"),
         (lambda: ClosedForm(1, 12, [0]), "base must be at least 2"),
         (lambda: ClosedForm(4, 0, [0]), "scale must be positive"),
         # a negative residue sorts first, so the set lacks 0 in its place
@@ -175,7 +177,8 @@ class TestClosedFormType:
     ],
     ids=[
         "decompose-negative-x", "decompose-base-1", "decompose-scale-0", "zero-one-nth-negative",
-        "nth-negative", "unparsable-text", "base-1", "scale-0", "negative-residue",
+        "nth-negative", "unparsable-text", "repeated-field", "part-without-equals", "base-1", "scale-0",
+        "negative-residue",
     ],
 )
 def test_rejects_bad_arguments(call, message):

@@ -22,7 +22,7 @@ from nonavg import (
     write_cache,
     zero_one_contains,
 )
-from nonavg.greedy import GreedySequence, Sieve, _parse_body
+from nonavg.greedy import GreedySequence, Sieve, _parse_body, rendered
 from nonavg.theorems import KNOWN_CLOSED_FORMS
 
 D = AvoidanceRule.DISTINCT
@@ -418,6 +418,9 @@ def test_skip_witness_rejects_a_term():
     seq = generate(CoefficientTuple((1, 1)), D, max_terms=5)
     with pytest.raises(ValueError, match="^3 is a term, not a skip$"):
         skip_witness(seq, 3)
+    # 20 is above the frontier 9: whether it is skipped is not decided yet
+    with pytest.raises(ValueError, match="^20 lies beyond the frontier 9, so it is not decided yet$"):
+        skip_witness(seq, 20)
 
 
 # Lenient spellings of one term line that read_cache accepts.
@@ -504,8 +507,9 @@ class TestCache:
         by_value=st.booleans(),
     )
     def test_a_prefix_of_a_cache_keeps_the_lines_of_its_terms(self, values, cap, by_value):
-        """extend with caps the cache already covers cuts the kept lines to
-        the terms it keeps, and renders none."""
+        """extend with caps the cache already covers keeps the cache's lines
+        only when it keeps every term, and the kept prefix renders to the
+        decimal lines of its terms."""
         terms = (0, *sorted(values))
         text = "".join(f"{t}\n" for t in terms)
         seq = GreedySequence(CoefficientTuple((1, 1)), D, terms, terms[-1], (len(terms), text))
@@ -514,7 +518,8 @@ class TestCache:
         else:
             cut = extend(seq, max_terms=min(cap, len(terms)))
         assert cut.terms == terms[:len(cut.terms)]
-        assert cut.lines == (len(cut.terms), "".join(f"{t}\n" for t in cut.terms))
+        assert cut.lines == (seq.lines if cut.terms == terms else (0, ""))
+        assert rendered(cut).lines == (len(cut.terms), "".join(f"{t}\n" for t in cut.terms))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -623,6 +628,29 @@ class TestCache:
         with pytest.raises(ValueError) as info:
             read_cache(path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("frontier", [-2, -5])
+    def test_a_frontier_below_minus_one_is_rejected(self, tmp_path, frontier):
+        path = tmp_path / "bad.cache"
+        path.write_text(f"# tuple=1,1 rule=distinct frontier={frontier}\n")
+        with pytest.raises(ValueError) as info:
+            read_cache(path)
+        assert str(info.value) == f"cache frontier {frontier} lies below -1"
+
+    @pytest.mark.parametrize("rule", [D, N])
+    def test_a_negative_max_value_leaves_the_frontier_at_minus_one(self, tmp_path, rule):
+        """An empty prefix's frontier is -1 whatever negative cap was asked,
+        so it can be resumed, and it survives a cache round trip."""
+        e = CoefficientTuple((1, 1))
+        for max_value in (-1, -3):
+            empty = generate(e, rule, max_value=max_value)
+            assert (empty.terms, empty.frontier) == ((), -1)
+            assert extend(empty, max_terms=3) == generate(e, rule, max_terms=3)
+            path = tmp_path / "empty.cache"
+            write_cache(path, empty)
+            assert read_cache(path) == empty
+        seq = generate(e, rule, max_terms=5)
+        assert extend(seq, max_value=-3) == empty
 
     def test_resume_from_cache(self, tmp_path):
         path = tmp_path / "seq.cache"

@@ -264,6 +264,73 @@ def test_witness_digest():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WITNESS_DIGEST
 
 
+def _assignments_by_predicate(slots, lo, hi, pool, used, distinct):
+    """The groups and node count of ``_iter_assignments``, from its contract.
+
+    A slot before the last tries, in order (descending for a negative
+    coefficient), each pool value v from its floor up for which values in
+    [min(pool), max(pool)] on the later slots can still bring the total into
+    [lo, hi], one node each; the floor is the value before it, plus one
+    under the distinct rule, when the two slots share a coefficient, else
+    min(pool).  The last slot costs one node when at most one integer from
+    its floor fits the total, looked up in the pool, else one per pool value
+    that fits (at least one).  Under the distinct rule values avoid ``used``
+    and each other.
+    """
+    pmin, pmax = pool[0], pool[-1]
+    groups, nodes = [], 0
+
+    def walk(i, prefix, acc):
+        nonlocal nodes
+        c = slots[i]
+        floor = prefix[-1] + distinct if i and slots[i - 1] == c else pmin
+        rest = slots[i + 1:]
+        rmin = sum(min(r * pmin, r * pmax) for r in rest)
+        rmax = sum(max(r * pmin, r * pmax) for r in rest)
+
+        def fits(v):
+            return v >= floor and lo - rmax <= acc + c * v <= hi - rmin
+
+        def free(v):
+            return not (distinct and (v in used or v in prefix))
+
+        if rest:
+            for v in sorted(filter(fits, pool), reverse=c < 0):
+                nodes += 1
+                if free(v):
+                    walk(i + 1, prefix + (v,), acc + c * v)
+            return
+        x0, x1 = sorted(((lo - acc) // c, (hi - acc) // c))
+        if len(list(filter(fits, range(x0 - 1, x1 + 2)))) <= 1:
+            nodes += 1
+            last = [v for v in pool if fits(v) and free(v)]
+        else:
+            last = list(filter(fits, pool))
+            nodes += len(last) or 1
+            last = list(filter(free, last))
+        if last:
+            groups.append((acc, prefix, last))
+
+    walk(0, (), 0)
+    return groups, nodes
+
+
+def _assignments_by_product(slots, lo, hi, pool, used, distinct):
+    """Every value tuple that ``_iter_assignments`` must cover, in its order,
+    from all of pool^len(slots)."""
+    def valid(vals):
+        ordered = all(
+            a < b if distinct else a <= b for a, b, c, e in zip(vals, vals[1:], slots, slots[1:]) if c == e
+        )
+        apart = not distinct or (len(set(vals)) == len(vals) and not used & set(vals))
+        return ordered and apart and lo <= sum(map(lambda c, v: c * v, slots, vals)) <= hi
+
+    def order(vals):
+        return tuple(-v if c < 0 else v for c, v in zip(slots[:-1], vals)) + vals[-1:]
+
+    return sorted(filter(valid, itertools.product(pool, repeat=len(slots))), key=order)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     pool=st.lists(st.integers(0, 60), min_size=1, max_size=9, unique=True).map(sorted),
@@ -274,12 +341,14 @@ def test_witness_digest():
     distinct=st.booleans(),
 )
 def test_one_value_lookup_by_set_or_bisection(pool, slots, lo, width, used, distinct):
-    """A last slot left with one value finds it by set lookup or, given no
-    set, by bisection, with the same groups and the same nodes."""
-    def groups_and_nodes(pool_set):
-        budget = _Budget(None)
-        own_used = set(used) if distinct or used else None
-        groups = list(_iter_assignments(tuple(slots), lo, lo + width, pool, pool_set, own_used, distinct, budget))
-        return groups, budget.nodes
-
-    assert groups_and_nodes(set(pool)) == groups_and_nodes(None)
+    """The one-value lookup, by bisection of the pool, gives the groups and
+    the nodes of a reference that walks the slots by the contract's
+    predicates and finds the last value in the pool by scanning it; the
+    groups cover exactly the valid tuples of all of pool^len(slots)."""
+    budget = _Budget(None)
+    own_used = set(used) if distinct or used else None
+    groups = list(_iter_assignments(tuple(slots), lo, lo + width, pool, own_used, distinct, budget))
+    assert own_used == (set(used) if distinct or used else None)
+    assert (groups, budget.nodes) == _assignments_by_predicate(slots, lo, lo + width, pool, used, distinct)
+    tuples = [prefix + (v,) for _, prefix, last in groups for v in last]
+    assert tuples == _assignments_by_product(slots, lo, lo + width, pool, used, distinct)
