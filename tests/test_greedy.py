@@ -583,6 +583,8 @@ class TestCache:
         ("frontier=3\n", "no terms"),
         ("frontier=3\n0\n1\nx\n", "invalid literal"),
         ("frontier=10\n0\n0\n", "^cache terms are not strictly increasing$"),  # canonical digits
+        ("frontier=-2\n", "^cache frontier -2 lies below -1$"),  # an empty prefix's frontier is -1
+        ("frontier=-5\n0\n", "^cache frontier -5 lies below -1$"),
     ])
     def test_malformed_cache_is_rejected(self, tmp_path, body, reason):
         path = tmp_path / "bad.cache"
@@ -628,14 +630,6 @@ class TestCache:
         with pytest.raises(ValueError) as info:
             read_cache(path)
         assert str(info.value) == message
-
-    @pytest.mark.parametrize("frontier", [-2, -5])
-    def test_a_frontier_below_minus_one_is_rejected(self, tmp_path, frontier):
-        path = tmp_path / "bad.cache"
-        path.write_text(f"# tuple=1,1 rule=distinct frontier={frontier}\n")
-        with pytest.raises(ValueError) as info:
-            read_cache(path)
-        assert str(info.value) == f"cache frontier {frontier} lies below -1"
 
     @pytest.mark.parametrize("rule", [D, N])
     def test_a_negative_max_value_leaves_the_frontier_at_minus_one(self, tmp_path, rule):
