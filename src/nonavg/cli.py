@@ -204,10 +204,8 @@ def _run_discover(args, out) -> int:
         )
         return EXIT_BUDGET
     cf, report = found
-    payload = report.to_json_dict()
-    payload["found"] = True
-    payload["closed_form"] = cf.text()
-    print(json.dumps(payload), file=out)
+    text = report.to_json()
+    print(f'{text[:-1]}, "found": true, "closed_form": {json.dumps(cf.text())}}}', file=out)
     return EXIT_OK
 
 
@@ -231,7 +229,7 @@ def _run_verify(args, out) -> int:
                 ok = theorems.verify_family_prefix(m, node_budget=budget)
                 all_ok &= _check_line(out, f"family prefix m={m}", ok)
         elif args.target == "table2":
-            if args.rows:
+            if args.rows is not None:
                 rows = [CoefficientTuple.from_text(r) for r in args.rows.split(";")]
             else:
                 rows = [
@@ -287,11 +285,11 @@ def _run_bounds(args, out) -> int:
         print("bounds: need --n", file=sys.stderr)
         return EXIT_USAGE
     n = _parse_n(args.n)
+    coefficients = CoefficientTuple.from_text(args.tuple_text) if args.tuple_text else None
     if args.cf:
-        cf = closedform.ClosedForm.from_text(args.cf)
+        cf = closedform.ClosedForm.from_text(args.cf, coefficients)
         report = asymptotics.closed_form_count_bounds(cf, n)
-    elif args.tuple_text:
-        coefficients = CoefficientTuple.from_text(args.tuple_text)
+    elif coefficients is not None:
         report = asymptotics.zero_one_count_bounds(coefficients, n)
     else:
         print("bounds: need --tuple or --cf", file=sys.stderr)

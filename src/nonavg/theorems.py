@@ -14,6 +14,7 @@ passes both, which reproduces the known catalog below.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
@@ -70,12 +71,18 @@ class ConditionReport:
         # a passed cell's residues are a non-empty tuple, a failed one's None
         return self.cond_i.passed and all(map(attrgetter("residues"), self.cells))
 
-    def to_json_dict(self) -> dict:
+    def _head(self) -> dict:
+        """The report's fields before the cells, in output order."""
         return {
             "tuple": self.coefficients.text(),
             "c": self.scale,
             "R": list(self.residues),
             "cond_i": {"lhs": self.cond_i.lhs, "rhs": self.cond_i.rhs, "pass": self.cond_i.passed},
+        }
+
+    def to_json_dict(self) -> dict:
+        return {
+            **self._head(),
             "cond_ii": [
                 {
                     "r1": cell.r1,
@@ -87,6 +94,29 @@ class ConditionReport:
             ],
             "overall": self.overall,
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict())``, written in one pass over the
+        cells with no dict per cell.
+
+        A passed cell's witness has one value per position 2..m, so one
+        ``%`` template renders every passed cell; each distinct H is
+        rendered once.
+        """
+        passed = '{"r1": %d, "j": %d, "H": %s, "witness": [' + ", ".join(["%d"] * (self.coefficients.m - 1)) + "]}"
+        failed = '{"r1": %d, "j": %d, "H": null, "witness": null}'
+        hs = {}
+        parts = []
+        for r1, j, subset, witness in self.cells:
+            if witness is None:
+                parts.append(failed % (r1, j))
+                continue
+            h = hs.get(subset)
+            if h is None:
+                h = hs[subset] = json.dumps(list(subset))
+            parts.append(passed % (r1, j, h, *witness))
+        head = json.dumps(self._head())
+        return f'{head[:-1]}, "cond_ii": [{", ".join(parts)}], "overall": {json.dumps(self.overall)}}}'
 
 
 def check_scale_identity(coefficients, residues, scale) -> ConditionIResult:

@@ -424,6 +424,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "table2", "--rows", "1,1,2,2", "--max-frontier", "100")
         assert code == 1 and out == "FAIL closed form exists for 1,1,2,2\n"
 
+    @pytest.mark.parametrize("rows", ["", "1,1,1;;1,1,2"])
+    def test_table2_empty_row_is_a_usage_error(self, capsys, rows):
+        """An empty --rows is a list with one empty row, not the default rows."""
+        code, out, err = run(capsys, "verify", "table2", "--rows", rows)
+        assert (code, out, err) == (1, "", "nonavg: cannot parse coefficient list ''\n")
+
     def test_props_needs_a_tuple(self, capsys):
         code, out, err = run(capsys, "verify", "props")
         assert (code, out, err) == (1, "", "verify props: need --tuple\n")
@@ -502,6 +508,23 @@ class TestBounds:
     def test_cf_with_a_negative_residue(self, capsys):
         code, out, err = run(capsys, "bounds", "--cf", "c=12 base=4 R=-1,0,1", "--n", "48")
         assert (code, out, err) == (1, "", "nonavg: residues must include 0\n")
+
+    def test_cf_alone_takes_any_base(self, capsys):
+        code, out, err = run(capsys, "bounds", "--n", "100", "--cf", "c=12 base=5 R=0,1,2,3,4")
+        assert (code, err) == (0, "") and json.loads(out)["params"] == {"d": 4, "c": 12, "r_count": 5}
+
+    def test_cf_with_its_tuple(self, capsys):
+        alone = run(capsys, "bounds", "--n", "100", "--cf", "c=12 base=4 R=0,1,2,3,4")
+        assert run(capsys, "bounds", "--n", "100", "--cf", "c=12 base=4 R=0,1,2,3,4", "--tuple", "1,1,1") == alone
+
+    @pytest.mark.parametrize("tuple_text, message", [
+        ("1,1,1", "base must equal the tuple weight plus one"),
+        ("1,1,3", "CoefficientTuple(1,1,3) is not valid"),
+        ("1,,1", "cannot parse coefficient list '1,,1'"),
+    ])
+    def test_cf_is_checked_against_the_tuple(self, capsys, tuple_text, message):
+        code, out, err = run(capsys, "bounds", "--n", "100", "--cf", "c=12 base=5 R=0,1,2,3,4", "--tuple", tuple_text)
+        assert (code, out, err) == (1, "", f"nonavg: {message}\n")
 
     def test_scientific_n(self, capsys):
         code, out, _ = run(capsys, "bounds", "--section4", "--n", "1e10")

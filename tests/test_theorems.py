@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from itertools import combinations, permutations
 
 import pytest
@@ -430,6 +431,47 @@ def test_catalog_report_digests():
         report = check_residue_completeness(CoefficientTuple(coeffs), residues, scale)
         text = json.dumps(report.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_REPORT_DIGESTS[coeffs], coeffs
+
+
+class TestReportText:
+    """``to_json`` writes, byte for byte, what ``json.dumps`` writes of ``to_json_dict``."""
+
+    @staticmethod
+    def text_matches(coeffs, residues, scale):
+        report = check_residue_completeness(CoefficientTuple(coeffs), residues, scale)
+        text, expected = report.to_json(), json.dumps(report.to_json_dict())
+        if text != expected:  # not `assert text == expected`: pytest would diff megabyte strings
+            at = len(os.path.commonprefix([text, expected]))
+            pytest.fail(f"first difference at {at}: {text[at:at + 60]!r} != {expected[at:at + 60]!r}")
+        return report
+
+    @pytest.mark.parametrize("coeffs", KNOWN_CLOSED_FORMS)
+    def test_catalog_reports(self, coeffs):
+        scale, residues = KNOWN_CLOSED_FORMS[coeffs]
+        assert self.text_matches(coeffs, residues, scale).overall
+
+    def test_every_cell_fails(self):
+        report = self.text_matches((1, 1, 1, 1), (0, 1), 2)
+        assert len(report.cells) == 6 and not any(cell.passed for cell in report.cells)
+
+    def test_passed_and_failed_cells_mixed(self):
+        report = self.text_matches((1, 1, 2, 4, 6), (0, 1, 2, 3, 4, 17, 35, 50, 51), 704)
+        assert len(report.cells) == 9152
+        assert sum(not cell.passed for cell in report.cells) == 1
+
+    @pytest.mark.parametrize("residues, scale", [((0,), 1), ((0, 1, 3, 4), 5)])
+    def test_one_middle_position_and_an_empty_subset(self, residues, scale):
+        report = self.text_matches((1, 1), residues, scale)
+        assert {cell.subset for cell in report.cells} == {()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        valid_tuples(min_len=3, max_len=5),
+        st.lists(st.one_of(st.integers(-3, 12), st.integers(13, 3000)), min_size=1, max_size=7, unique=True),
+        st.integers(min_value=0, max_value=150),
+    )
+    def test_random_reports(self, coeffs, residues, scale):
+        self.text_matches(coeffs, residues, scale)
 
 
 class TestDiscovery:
