@@ -285,7 +285,7 @@ def _run_bounds(args, out) -> int:
         print("bounds: need --n", file=sys.stderr)
         return EXIT_USAGE
     n = _parse_n(args.n)
-    coefficients = CoefficientTuple.from_text(args.tuple_text) if args.tuple_text else None
+    coefficients = CoefficientTuple.from_text(args.tuple_text) if args.tuple_text is not None else None
     if args.cf:
         cf = closedform.ClosedForm.from_text(args.cf, coefficients)
         report = asymptotics.closed_form_count_bounds(cf, n)

@@ -521,6 +521,7 @@ class TestBounds:
         ("1,1,1", "base must equal the tuple weight plus one"),
         ("1,1,3", "CoefficientTuple(1,1,3) is not valid"),
         ("1,,1", "cannot parse coefficient list '1,,1'"),
+        ("", "cannot parse coefficient list ''"),
     ])
     def test_cf_is_checked_against_the_tuple(self, capsys, tuple_text, message):
         code, out, err = run(capsys, "bounds", "--n", "100", "--cf", "c=12 base=5 R=0,1,2,3,4", "--tuple", tuple_text)
