@@ -250,7 +250,7 @@ def _run_verify(args, out) -> int:
                     name = f"catalog row {coefficients.text()}"
                 all_ok &= _check_line(out, name, ok)
         else:  # props
-            if not args.tuple_text:
+            if args.tuple_text is None:
                 print("verify props: need --tuple", file=sys.stderr)
                 return EXIT_USAGE
             coefficients = CoefficientTuple.from_text(args.tuple_text)
@@ -278,7 +278,7 @@ def _run_verify(args, out) -> int:
 
 def _run_bounds(args, out) -> int:
     if args.section4:
-        n = _parse_n(args.n) if args.n else asymptotics.REFERENCE_EXAMPLE_N
+        n = _parse_n(args.n) if args.n is not None else asymptotics.REFERENCE_EXAMPLE_N
         print(json.dumps(asymptotics.compare_bound_readings(n)), file=out)
         return EXIT_OK
     if args.n is None:
@@ -286,7 +286,7 @@ def _run_bounds(args, out) -> int:
         return EXIT_USAGE
     n = _parse_n(args.n)
     coefficients = CoefficientTuple.from_text(args.tuple_text) if args.tuple_text is not None else None
-    if args.cf:
+    if args.cf is not None:
         cf = closedform.ClosedForm.from_text(args.cf, coefficients)
         report = asymptotics.closed_form_count_bounds(cf, n)
     elif coefficients is not None:

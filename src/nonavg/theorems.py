@@ -71,33 +71,12 @@ class ConditionReport:
         # a passed cell's residues are a non-empty tuple, a failed one's None
         return self.cond_i.passed and all(map(attrgetter("residues"), self.cells))
 
-    def _head(self) -> dict:
-        """The report's fields before the cells, in output order."""
-        return {
-            "tuple": self.coefficients.text(),
-            "c": self.scale,
-            "R": list(self.residues),
-            "cond_i": {"lhs": self.cond_i.lhs, "rhs": self.cond_i.rhs, "pass": self.cond_i.passed},
-        }
-
     def to_json_dict(self) -> dict:
-        return {
-            **self._head(),
-            "cond_ii": [
-                {
-                    "r1": cell.r1,
-                    "j": cell.j,
-                    "H": list(cell.subset) if cell.subset is not None else None,
-                    "witness": list(cell.residues) if cell.residues is not None else None,
-                }
-                for cell in self.cells
-            ],
-            "overall": self.overall,
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict())``, written in one pass over the
-        cells with no dict per cell.
+        """The report as JSON text, written in one pass over the cells with
+        no dict per cell.
 
         A passed cell's witness has one value per position 2..m, so one
         ``%`` template renders every passed cell; each distinct H is
@@ -115,7 +94,12 @@ class ConditionReport:
             if h is None:
                 h = hs[subset] = json.dumps(list(subset))
             parts.append(passed % (r1, j, h, *witness))
-        head = json.dumps(self._head())
+        head = json.dumps({
+            "tuple": self.coefficients.text(),
+            "c": self.scale,
+            "R": list(self.residues),
+            "cond_i": {"lhs": self.cond_i.lhs, "rhs": self.cond_i.rhs, "pass": self.cond_i.passed},
+        })
         return f'{head[:-1]}, "cond_ii": [{", ".join(parts)}], "overall": {json.dumps(self.overall)}}}'
 
 

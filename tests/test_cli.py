@@ -434,6 +434,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "props")
         assert (code, out, err) == (1, "", "verify props: need --tuple\n")
 
+    def test_props_empty_tuple_is_a_usage_error(self, capsys):
+        """A given empty --tuple is parsed, as bounds parses it, not taken as missing."""
+        code, out, err = run(capsys, "verify", "props", "--tuple", "", "--n", "16")
+        assert (code, out, err) == (1, "", "nonavg: cannot parse coefficient list ''\n")
+
     def test_props(self, capsys):
         code, out, _ = run(capsys, "verify", "props", "--tuple", "1,1", "--n", "4096")
         assert code == 0
@@ -525,6 +530,17 @@ class TestBounds:
     ])
     def test_cf_is_checked_against_the_tuple(self, capsys, tuple_text, message):
         code, out, err = run(capsys, "bounds", "--n", "100", "--cf", "c=12 base=5 R=0,1,2,3,4", "--tuple", tuple_text)
+        assert (code, out, err) == (1, "", f"nonavg: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "100", "--tuple", ""), "cannot parse coefficient list ''"),
+        (("--n", "100", "--cf", ""), "cannot parse closed form ''"),
+        (("--n", "100", "--cf", "", "--tuple", "1,1,1"), "cannot parse closed form ''"),
+        (("--section4", "--n", ""), "n must be an integer, got ''"),
+    ])
+    def test_a_given_empty_value_is_parsed(self, capsys, argv, message):
+        """An empty --tuple, --cf or --n is given, so it is parsed and refused, not taken as missing."""
+        code, out, err = run(capsys, "bounds", *argv)
         assert (code, out, err) == (1, "", f"nonavg: {message}\n")
 
     def test_scientific_n(self, capsys):
