@@ -16,8 +16,8 @@ import sys
 from decimal import Decimal, InvalidOperation
 
 from . import asymptotics, closedform, greedy, theorems
-from .errors import BudgetExhausted, InvalidTuple, UnsupportedM
-from .solver import DEFAULT_NODE_BUDGET, AvoidanceRule
+from .errors import BudgetExhausted, InvalidTuple
+from .solver import AvoidanceRule, node_cap
 from .tuples import CoefficientTuple, is_valid
 
 EXIT_OK = 0
@@ -70,7 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _node_budget(args) -> int | None:
-    if getattr(args, "node_budget", None) is not None:
+    """--node-budget, else NONAVG_NODE_BUDGET, else None: ``solver.node_cap``
+    reads the budget."""
+    if args.node_budget is not None:
         return args.node_budget
     env = os.environ.get("NONAVG_NODE_BUDGET")
     if env:
@@ -78,7 +80,7 @@ def _node_budget(args) -> int | None:
             return int(env)
         except ValueError:
             raise InvalidTuple(f"bad NONAVG_NODE_BUDGET value {env!r}")
-    return DEFAULT_NODE_BUDGET
+    return None
 
 
 def _parse_n(text: str) -> int:
@@ -104,8 +106,9 @@ def _store_and_emit(seq, cached, args, out):
     rendering of its terms: plain output is those lines, csv and json join
     them as ``json.dumps`` would."""
     seq = greedy.rendered(seq)
-    if args.cache:
-        _write_cache(args.cache, cached, seq)
+    # A cache never shrinks: store seq only past the frontier it already reaches.
+    if args.cache and (cached is None or seq.frontier > cached.frontier):
+        greedy.write_cache(args.cache, seq)
     lines = seq.lines[1]
     if args.format == "plain":
         out.write(lines)
@@ -142,8 +145,7 @@ def _run_generate(args, out) -> int:
     except BudgetExhausted as exc:
         if exc.partial is not None:
             _store_and_emit(exc.partial, cached, args, out)
-        print(f"generate: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        raise
     _store_and_emit(seq, cached, args, out)
     return EXIT_OK
 
@@ -168,28 +170,17 @@ def _read_cache(path, coefficients, rule):
     return cached
 
 
-def _write_cache(path, cached, seq):
-    """Store seq unless the cache already reaches as far: a cache never shrinks."""
-    if cached is None or seq.frontier > cached.frontier:
-        greedy.write_cache(path, seq)
-
-
 def _run_discover(args, out) -> int:
     coefficients = CoefficientTuple.from_text(args.tuple_text)
     if not is_valid(coefficients):
         print(f"discover: {coefficients.text()} is not a valid tuple", file=sys.stderr)
         return EXIT_USAGE
-    budget = _node_budget(args)
-    try:
-        found = theorems.discover_closed_form(
-            coefficients,
-            max_residues=args.max_residues,
-            max_frontier=args.max_frontier,
-            node_budget=budget,
-        )
-    except BudgetExhausted as exc:
-        print(f"discover: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    found = theorems.discover_closed_form(
+        coefficients,
+        max_residues=args.max_residues,
+        max_frontier=args.max_frontier,
+        node_budget=_node_budget(args),
+    )
     if found is None:
         print(
             json.dumps(
@@ -217,67 +208,67 @@ def _check_line(out, name, passed) -> bool:
 def _run_verify(args, out) -> int:
     budget = _node_budget(args)
     all_ok = True
-    try:
-        if args.target == "table1":
-            ms = [args.m] if args.m is not None else [3, 4, 5, 6, 7, 8, 9]
-            for m in ms:
-                scale, residues = theorems.uniform_family_parameters(m)
-                ident = theorems.check_scale_identity(
-                    CoefficientTuple.uniform(m), residues, scale
-                )
-                all_ok &= _check_line(out, f"family scale identity m={m}", ident.passed)
-                ok = theorems.verify_family_prefix(m, node_budget=budget)
-                all_ok &= _check_line(out, f"family prefix m={m}", ok)
-        elif args.target == "table2":
-            if args.rows is not None:
-                rows = [CoefficientTuple.from_text(r) for r in args.rows.split(";")]
+    if args.target == "table1":
+        ms = [args.m] if args.m is not None else [3, 4, 5, 6, 7, 8, 9]
+        for m in ms:
+            scale, residues = theorems.uniform_family_parameters(m)
+            ident = theorems.check_scale_identity(
+                CoefficientTuple.uniform(m), residues, scale
+            )
+            all_ok &= _check_line(out, f"family scale identity m={m}", ident.passed)
+            ok = theorems.verify_family_prefix(m, node_budget=budget)
+            all_ok &= _check_line(out, f"family prefix m={m}", ok)
+    elif args.target == "table2":
+        if args.rows is not None:
+            rows = [CoefficientTuple.from_text(r) for r in args.rows.split(";")]
+        else:
+            rows = [
+                CoefficientTuple(coeffs)
+                for coeffs in theorems.KNOWN_CLOSED_FORMS
+                if theorems.KNOWN_CLOSED_FORMS[coeffs][0] <= 122
+            ]
+        for coefficients in rows:
+            expected = theorems.KNOWN_CLOSED_FORMS.get(coefficients.coeffs)
+            found = theorems.discover_closed_form(
+                coefficients, max_frontier=args.max_frontier, node_budget=budget
+            )
+            if expected is None:
+                ok = found is not None
+                name = f"closed form exists for {coefficients.text()}"
             else:
-                rows = [
-                    CoefficientTuple(coeffs)
-                    for coeffs in theorems.KNOWN_CLOSED_FORMS
-                    if theorems.KNOWN_CLOSED_FORMS[coeffs][0] <= 122
-                ]
-            for coefficients in rows:
-                expected = theorems.KNOWN_CLOSED_FORMS.get(coefficients.coeffs)
-                found = theorems.discover_closed_form(
-                    coefficients, max_frontier=args.max_frontier, node_budget=budget
-                )
-                if expected is None:
-                    ok = found is not None
-                    name = f"closed form exists for {coefficients.text()}"
-                else:
-                    ok = found is not None and (found[0].scale, found[0].residues) == expected
-                    name = f"catalog row {coefficients.text()}"
-                all_ok &= _check_line(out, name, ok)
-        else:  # props
-            if args.tuple_text is None:
-                print("verify props: need --tuple", file=sys.stderr)
-                return EXIT_USAGE
-            coefficients = CoefficientTuple.from_text(args.tuple_text)
-            limit = _parse_n(args.n)
-            if limit < 0:
-                raise ValueError(f"n must be nonnegative, got {args.n!r}")
-            # One node per member checked: a limit past the budget would
-            # run out of it at member max(budget, 0), so stop before the loop.
-            if limit > max(budget, 0):
-                raise BudgetExhausted(max(budget, 0) + 1)
-            # One pass: each law reads the n-th zero-one member once.
-            d = coefficients.weight
-            residue_ok = parity_ok = True
-            for n, member in enumerate(closedform.zero_one_prefix(coefficients, limit)):
-                residue_ok = residue_ok and n.bit_count() % d == member % d
-                parity_ok = parity_ok and closedform.thue_morse_bit(n) == member % 2
-            all_ok &= _check_line(out, f"popcount residue law n<{limit}", residue_ok)
-            if coefficients.coeffs == (1, 1):
-                all_ok &= _check_line(out, f"bit-parity sequence law n<{limit}", parity_ok)
-    except BudgetExhausted as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+                ok = found is not None and (found[0].scale, found[0].residues) == expected
+                name = f"catalog row {coefficients.text()}"
+            all_ok &= _check_line(out, name, ok)
+    else:  # props
+        if args.tuple_text is None:
+            print("verify props: need --tuple", file=sys.stderr)
+            return EXIT_USAGE
+        coefficients = CoefficientTuple.from_text(args.tuple_text)
+        limit = _parse_n(args.n)
+        if limit < 0:
+            raise ValueError(f"n must be nonnegative, got {args.n!r}")
+        # One node per member checked: a limit past the cap would run out
+        # of it at member cap, so stop before the loop.
+        cap = node_cap(budget)
+        if limit > cap:
+            raise BudgetExhausted(cap + 1)
+        # One pass: each law reads the n-th zero-one member once.
+        d = coefficients.weight
+        residue_ok = parity_ok = True
+        for n, member in enumerate(closedform.zero_one_prefix(coefficients, limit)):
+            residue_ok = residue_ok and n.bit_count() % d == member % d
+            parity_ok = parity_ok and closedform.thue_morse_bit(n) == member % 2
+        all_ok &= _check_line(out, f"popcount residue law n<{limit}", residue_ok)
+        if coefficients.coeffs == (1, 1):
+            all_ok &= _check_line(out, f"bit-parity sequence law n<{limit}", parity_ok)
     return EXIT_OK if all_ok else EXIT_USAGE
 
 
 def _run_bounds(args, out) -> int:
     if args.section4:
+        if args.tuple_text is not None or args.cf is not None:
+            print("bounds: --section4 takes no --tuple or --cf", file=sys.stderr)
+            return EXIT_USAGE
         n = _parse_n(args.n) if args.n is not None else asymptotics.REFERENCE_EXAMPLE_N
         print(json.dumps(asymptotics.compare_bound_readings(n)), file=out)
         return EXIT_OK
@@ -327,7 +318,10 @@ def main(argv=None) -> int:
     out = sys.stdout
     try:
         return _RUNNERS[args.command](args, out)
-    except (InvalidTuple, UnsupportedM, ValueError, OverflowError) as exc:
+    except BudgetExhausted as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (ValueError, OverflowError) as exc:  # InvalidTuple and UnsupportedM among them
         print(f"nonavg: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -119,13 +119,9 @@ def _binary_in_base(n: int, base: int) -> int:
     return result
 
 
-def _zero_one_rank(x: int, base: int):
-    """(how many zero-one values lie below x, whether x is one), for x >= 0."""
-    return _walk_rank(x, _rank_table(base))
-
-
 def _walk_rank(x: int, walk):
-    """``_zero_one_rank`` with the base's ``_rank_table`` given.
+    """(how many zero-one values lie below x, whether x is one), for x >= 0,
+    with ``walk`` the base's ``_rank_table``.
 
     One walk from the high end, k base digits per step: each chunk adds the
     count of the zero-one chunks below it, shifted past the lower chunks; at
@@ -235,7 +231,7 @@ def _count_zero_one_below_dp(n: int, base: int) -> int:
 def count_zero_one_below(coefficients: CoefficientTuple, n: int) -> int:
     """Exact count of zero-one family members strictly below n."""
     require_valid(coefficients)
-    return _zero_one_rank(n, coefficients.base)[0] if n > 0 else 0
+    return _walk_rank(n, _rank_table(coefficients.base))[0] if n > 0 else 0
 
 
 def count_zero_one_below_dp(coefficients: CoefficientTuple, n: int) -> int:

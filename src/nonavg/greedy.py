@@ -22,7 +22,7 @@ from operator import lt
 from typing import NamedTuple
 
 from .errors import BudgetExhausted
-from .solver import DEFAULT_NODE_BUDGET, AvoidanceRule, _Budget, _iter_assignments, creates_solution
+from .solver import AvoidanceRule, _Budget, _iter_assignments, creates_solution, node_cap
 from .tuples import CoefficientTuple, coefficient_groups, parse_fields
 
 # The sieve's window of candidates starts this wide and doubles at each
@@ -310,7 +310,7 @@ class _SumsetSieve(Sieve):
         program, heavy, states, update_nodes = self.layout
         d = self.coefficients.weight
         distinct = self.distinct
-        cap = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+        cap = node_cap(node_budget)
         terms = self.terms
         frontier, pending = self.frontier, self.pending
         top, sums, gaps, open_gaps = self.top, self.sums, self.gaps, self.open_gaps

@@ -24,6 +24,12 @@ from .tuples import VALUE_LIMIT, CoefficientTuple, coefficient_groups
 DEFAULT_NODE_BUDGET = 10 ** 8
 
 
+def node_cap(node_budget) -> int:
+    """The most nodes a search may spend: DEFAULT_NODE_BUDGET for None, and
+    a negative budget acts as 0, so any budget <= 0 stops at node 1."""
+    return DEFAULT_NODE_BUDGET if node_budget is None else max(node_budget, 0)
+
+
 class AvoidanceRule(Enum):
     """Which assignments count as forbidden solutions."""
 
@@ -64,7 +70,7 @@ class _Budget:
     __slots__ = ("cap", "nodes")
 
     def __init__(self, cap):
-        self.cap = DEFAULT_NODE_BUDGET if cap is None else cap
+        self.cap = node_cap(cap)
         self.nodes = 0
 
     def spend(self, k: int = 1):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .closedform import ClosedForm
 from .errors import BudgetExhausted, UnsupportedM
 from .greedy import GreedySequence, Sieve, generate
-from .solver import DEFAULT_NODE_BUDGET, AvoidanceRule, relaxed_representation
+from .solver import AvoidanceRule, node_cap, relaxed_representation
 from .tuples import CoefficientTuple, coefficient_groups, require_valid
 
 
@@ -184,7 +184,7 @@ def _slack_plans(coeffs_at, d, residues):
     first subset with each inside key: later ones have the same tables, so
     they find a witness exactly when it does.  A plan is (subset, number of
     slack-j subsets up to and including it, sign, walk, look, least and
-    greatest member of look, inside table, outside table, reorder, memo).
+    greatest member of look, inside table, outside table, reorder).
 
     The search reads an outside table only for its first stored assignment
     per sum, so only an inside key (sum at most d-2) gets its full table; the
@@ -195,11 +195,9 @@ def _slack_plans(coeffs_at, d, residues):
     outside sums upward, the outside sums downward, and looks up negated
     inside sums.  Either way, for a target sum ``needed`` the walk value w
     pairs with sign*needed - w, and the inside sums come upward, so the
-    first pair found has the least inside sum.  ``reorder`` puts
-    inside-then-outside values back in position order, and ``memo`` caches
-    the first stored inside assignment avoiding a given r_m.  Tables depend
-    only on the coefficients of their positions, so equal ones are built
-    once.
+    first pair found has the least inside sum, and ``reorder`` puts
+    inside-then-outside values back in position order.  Tables depend only
+    on the coefficients of their positions, so equal ones are built once.
     """
     npos = len(coeffs_at)
 
@@ -241,7 +239,6 @@ def _slack_plans(coeffs_at, d, residues):
                 in_table,
                 out_table,
                 reorder,
-                {},
             )
     return [list(slack_plans.values()) for slack_plans in plans], counts
 
@@ -273,8 +270,7 @@ def check_residue_completeness(coefficients, residues, scale, node_budget=None) 
     d = coefficients.weight
     m = coefficients.m
     rs = tuple(sorted(set(residues)))
-    # a negative budget stops at the first node, as a budget of 0 does
-    cap = DEFAULT_NODE_BUDGET if node_budget is None else max(node_budget, 0)
+    cap = node_cap(node_budget)
     plans, counts = _slack_plans(coeffs[1 : m - 1], d, rs)
     cond_i = check_scale_identity(coefficients, rs, scale)
 
@@ -297,7 +293,7 @@ def check_residue_completeness(coefficients, residues, scale, node_budget=None) 
                 dk = drs[k]
                 rows += range(below, min(dk + 1, stop))  # offsets whose least r_m is this one
                 below = max(below, dk + 1)
-                for subset, upto, sign, walk, look, lo, hi, in_table, out_table, reorder, memo in slack_plans:
+                for subset, upto, sign, walk, look, lo, hi, in_table, out_table, reorder in slack_plans:
                     left = []
                     for r1 in rows:
                         needed = dk - r1
@@ -312,10 +308,7 @@ def check_residue_completeness(coefficients, residues, scale, node_budget=None) 
                             s_in = w if sign > 0 else w + needed
                             in_assign = in_table[s_in][0]
                             if r_m in in_assign:
-                                key = (s_in, r_m)
-                                in_assign = memo.get(key, False)
-                                if in_assign is False:
-                                    in_assign = memo[key] = next((a for a in in_table[s_in] if r_m not in a), None)
+                                in_assign = next((a for a in in_table[s_in] if r_m not in a), None)
                             if in_assign is not None:
                                 break
                         if in_assign is None:

@@ -487,6 +487,32 @@ class TestVerify:
         assert (code, out, err) == (2, "", "verify: search budget exhausted after 6 nodes\n")
 
 
+class TestNegativeBudget:
+    """A negative node budget acts as 0 in every subcommand that searches,
+    whether it comes from --node-budget or NONAVG_NODE_BUDGET."""
+
+    @pytest.fixture(autouse=True)
+    def no_budget_variable(self, monkeypatch):
+        monkeypatch.delenv("NONAVG_NODE_BUDGET", raising=False)
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--tuple", "1,1", "--max-terms", "5"),
+        ("generate", "--tuple", "1,1,2", "--max-value", "40", "--format", "json"),
+        ("discover", "--tuple", "1,1,1"),
+        ("verify", "table1", "--m", "4"),
+        ("verify", "table2", "--rows", "1,1,1;1,1,2"),
+        ("verify", "props", "--tuple", "1,1", "--n", "1"),
+    ], ids=" ".join)
+    def test_reads_as_zero(self, capsys, monkeypatch, argv):
+        zero = run(capsys, *argv, "--node-budget", "0")
+        assert zero[0] == 2 and zero[2].startswith(f"{argv[0]}: search budget exhausted after 1 nodes")
+        assert run(capsys, *argv, "--node-budget", "-3") == zero
+        monkeypatch.setenv("NONAVG_NODE_BUDGET", "-3")
+        assert run(capsys, *argv) == zero
+        monkeypatch.setenv("NONAVG_NODE_BUDGET", "0")
+        assert run(capsys, *argv) == zero
+
+
 class TestBounds:
     def test_tuple_report(self, capsys):
         code, out, _ = run(capsys, "bounds", "--tuple", "1,1", "--n", "81")
@@ -542,6 +568,17 @@ class TestBounds:
         """An empty --tuple, --cf or --n is given, so it is parsed and refused, not taken as missing."""
         code, out, err = run(capsys, "bounds", *argv)
         assert (code, out, err) == (1, "", f"nonavg: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("--tuple", "1,1,3", "--cf", "c=1 base=9 R=0"),
+        ("--tuple", "1,1"),
+        ("--cf", "c=12 base=4 R=0,1,2,3,4"),
+        ("--tuple", ""),
+    ])
+    def test_section4_takes_no_tuple_or_cf(self, capsys, argv):
+        """--section4 answers for its own worked example, so a subject is refused, not dropped."""
+        code, out, err = run(capsys, "bounds", "--section4", "--n", "1e10", *argv)
+        assert (code, out, err) == (1, "", "bounds: --section4 takes no --tuple or --cf\n")
 
     def test_scientific_n(self, capsys):
         code, out, _ = run(capsys, "bounds", "--section4", "--n", "1e10")

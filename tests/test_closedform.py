@@ -21,7 +21,7 @@ from nonavg import (
     zero_one_nth,
 )
 from nonavg.closedform import (
-    _TABLE_SIZE, _binary_in_base, _bits_table, _count_zero_one_below_dp, _is_zero_one, _rank_table, _zero_one_rank,
+    _TABLE_SIZE, _binary_in_base, _bits_table, _count_zero_one_below_dp, _is_zero_one, _rank_table, _walk_rank,
     zero_one_prefix,
 )
 from nonavg.tuples import VALUE_LIMIT
@@ -436,7 +436,7 @@ def test_membership_walk_matches_the_rank_walk(base, x, data):
         st.integers(min_value=0, max_value=width - 1))
     assert _is_zero_one(ones, base)
     for value in (x, ones, raised):
-        assert _is_zero_one(value, base) == _zero_one_rank(value, base)[1], (base, value)
+        assert _is_zero_one(value, base) == _walk_rank(value, _rank_table(base))[1], (base, value)
 
 
 @settings(max_examples=400, deadline=None)
@@ -451,7 +451,7 @@ def test_rank_walk_matches_the_per_digit_rank(base, x, data):
         values.append(ones + data.draw(st.integers(min_value=1, max_value=base - 2)) * base ** data.draw(
             st.integers(min_value=0, max_value=300)))
     for value in values:
-        assert _zero_one_rank(value, base) == _per_digit_rank(value, base), (base, value)
+        assert _walk_rank(value, _rank_table(base)) == _per_digit_rank(value, base), (base, value)
 
 
 @pytest.mark.parametrize("base", [2, 3, 16, 257, 10 ** 6])
@@ -464,7 +464,7 @@ def test_rank_walk_at_the_last_cached_power(base):
     span = _binary_in_base((1 << 3 * k * (len(powers) - 1)) - 1, base)  # zero-one, three parts wide
     cf = ClosedForm(base, 1, [0])
     for x in (0, top - 1, top, top + 1, top * top - 1, top * top, top * top + 1, span, span + 1, span + top):
-        assert _zero_one_rank(x, base) == _per_digit_rank(x, base), (base, x)
+        assert _walk_rank(x, _rank_table(base)) == _per_digit_rank(x, base), (base, x)
         assert cf.count_below(x) == cf.count_below_dp(x), (base, x)
 
 
@@ -488,8 +488,8 @@ def test_rank_walk_at_the_cli_digit_limit():
     q = _binary_in_base((1 << 9011) - 1 - (1 << 300), 3)
     for x in (q, q + 2):
         assert 10 ** 4299 <= x < 10 ** 4300
-        assert _zero_one_rank(x, 3) == _per_digit_rank(x, 3)
-        assert _zero_one_rank(x, 3)[0] == _count_zero_one_below_dp(x, 3)
+        assert _walk_rank(x, _rank_table(3)) == _per_digit_rank(x, 3)
+        assert _walk_rank(x, _rank_table(3))[0] == _count_zero_one_below_dp(x, 3)
 
 
 def test_walk_tables_stay_small():

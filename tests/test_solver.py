@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonavg import (
+    DEFAULT_NODE_BUDGET,
     AvoidanceRule,
     BudgetExhausted,
     CoefficientTuple,
@@ -18,7 +19,7 @@ from nonavg import (
     verify_solution_free,
     witness_satisfies,
 )
-from nonavg.solver import _Budget, _iter_assignments
+from nonavg.solver import _Budget, _iter_assignments, node_cap
 
 D = AvoidanceRule.DISTINCT
 N = AvoidanceRule.NOT_ALL_EQUAL
@@ -352,3 +353,9 @@ def test_one_value_lookup_by_set_or_bisection(pool, slots, lo, width, used, dist
     assert (groups, budget.nodes) == _assignments_by_predicate(slots, lo, lo + width, pool, used, distinct)
     tuples = [prefix + (v,) for _, prefix, last in groups for v in last]
     assert tuples == _assignments_by_product(slots, lo, lo + width, pool, used, distinct)
+
+
+def test_node_cap():
+    """The one reading of a node budget: None is the default, and a negative budget acts as 0."""
+    assert node_cap(None) == DEFAULT_NODE_BUDGET
+    assert [node_cap(b) for b in (-3, -1, 0, 1, 7)] == [0, 0, 0, 1, 7]

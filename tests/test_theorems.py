@@ -114,6 +114,17 @@ class TestResidueCompleteness:
             "search budget exhausted after 101 nodes in residue completeness at scale 122, cell (r1=20, j=0)"
         )
 
+    @pytest.mark.parametrize("budget", [-1, -3])
+    def test_negative_budget_stops_as_zero_does(self, budget):
+        _, residues = uniform_family_parameters(5)
+        e = CoefficientTuple((1, 1, 1, 1))
+        with pytest.raises(BudgetExhausted) as zero:
+            check_residue_completeness(e, residues, 122, node_budget=0)
+        with pytest.raises(BudgetExhausted) as negative:
+            check_residue_completeness(e, residues, 122, node_budget=budget)
+        assert zero.value.nodes == 1
+        assert (negative.value.nodes, str(negative.value)) == (zero.value.nodes, str(zero.value))
+
 
 E5 = CoefficientTuple((1, 1, 1, 1))
 
