@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+from itertools import chain, count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,44 @@ def test_budget_digest():
     lines = list(budget_digest_lines())
     assert len(lines) == 1620
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BUDGET_DIGEST
+
+
+# Valid tuples for the window digest: catalog rows from m = 3 to m = 5.
+WINDOW_DIGEST_TUPLES = [(1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 1, 1), (1, 1, 2, 4)]
+# sha256 of every outcome in window_budget_digest_lines, recorded while the
+# window state was a class that kept its window between calls.
+WINDOW_DIGEST = "12409f9f7f00e75eb963f09d6201535b100608cd0e7c751f9525e6b2bf00c4bf"
+
+
+def window_budget_digest_lines():
+    """One line per extend call with a node budget, which runs the window
+    state: from the 1-term and 6-term prefixes of each tuple and rule, for
+    max_terms 12 and 20, every budget from -2 to 39 and then 40 * 3**k for
+    k >= 1 (120, 360, ...) up to the first one that completes; the terms and
+    frontier, or the BudgetExhausted text, nodes and partial prefix."""
+    for coeffs in WINDOW_DIGEST_TUPLES:
+        e = CoefficientTuple(coeffs)
+        for rule in (D, N):
+            for start in (1, 6):
+                prefix = generate(e, rule, max_terms=start)
+                for max_terms in (12, 20):
+                    for budget in chain(range(-2, 40), (40 * 3**k for k in count(1))):
+                        key = (coeffs, rule.value, start, max_terms, budget)
+                        try:
+                            seq = extend(prefix, max_terms=max_terms, node_budget=budget)
+                        except BudgetExhausted as exc:
+                            yield repr(key + (str(exc), exc.nodes, exc.partial.terms, exc.partial.frontier))
+                            continue
+                        yield repr(key + (seq.terms, seq.frontier))
+                        break
+
+
+def test_window_budget_digest():
+    """Where the node budget stops the window state, and how it reports it,
+    stay byte for byte the same."""
+    lines = list(window_budget_digest_lines())
+    assert len(lines) == 1619
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WINDOW_DIGEST
 
 
 class TestExtend:
