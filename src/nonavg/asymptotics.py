@@ -180,7 +180,7 @@ def compare_bound_readings(n) -> dict:
             "f": [
                 r["label"]
                 for r in readings
-                if r["f_lower_ceil"] is not None and abs(r["f_lower_ceil"] - ref["f_lower"]) <= 2
+                if abs(r["f_lower_ceil"] - ref["f_lower"]) <= 2
             ],
             "behrend": [
                 r["label"]

@@ -240,7 +240,7 @@ def count_zero_one_below_dp(coefficients: CoefficientTuple, n: int) -> int:
     return _count_zero_one_below_dp(n, coefficients.base)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class ClosedForm:
     """Members are scale * v + r, v with 0/1 digits in the base, r a residue.
 

@@ -1,12 +1,12 @@
 """Greedy generation of the avoidance sequences, resumable, with a naive oracle.
 
 The greedy rule: start at 0 and repeatedly append the least integer that
-creates no forbidden solution among the chosen terms.  ``generate`` and
-``extend`` run a forbidden-value sieve (``Sieve``): sumset bitsets from an
-empty prefix, a window of flags from a given one.  ``naive_generate`` is a
-separate, deliberately unoptimized implementation used as an independent
-oracle in tests and must never share search code with the solver module or
-the sieve.
+creates no forbidden solution among the chosen terms.  ``generate`` runs a
+forbidden-value sieve of sumset bitsets from the empty prefix (``Sieve``);
+``extend`` of a given prefix fills a window of flags (``_extend_window``).
+``naive_generate`` is a separate, deliberately unoptimized implementation
+used as an independent oracle in tests and must never share search code
+with the solver module or the sieve.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .errors import BudgetExhausted
 from .solver import AvoidanceRule, _Budget, _iter_assignments, creates_solution, node_cap
 from .tuples import CoefficientTuple, coefficient_groups, parse_fields
 
-# The sieve's window of candidates starts this wide and doubles at each
-# refill, up to WINDOW_MAX bytes of forbidden-value flags.
+# The window of candidates of ``_extend_window`` starts this wide and doubles
+# at each refill, up to WINDOW_MAX bytes of forbidden-value flags.
 WINDOW_START = 64
 WINDOW_MAX = 1 << 20
 
@@ -78,7 +78,7 @@ def _open_roles(coeffs, distinct):
 
 
 class _SumsetLayout(NamedTuple):
-    """The bitset states of ``_SumsetSieve`` for one tuple and rule, indexed
+    """The bitset states of ``Sieve`` for one tuple and rule, indexed
     by sub-multiset M of the roles' rest slots, shortest first (M = () is 0),
     and the update an accepted term runs on them."""
 
@@ -96,7 +96,7 @@ def _sumset_layout(coeffs, distinct):
     A part (w(B), index of M - B) is a slot set B of M that a new term
     fills.  Every part is a sum part, and a gap part only when w(B) < d - 1:
     the gap shifts of the others land at or below the term (see
-    ``_SumsetSieve``)."""
+    ``Sieve``)."""
     d = sum(coeffs)
     roles = _open_roles(coeffs, distinct)
     rests = {rest for _, rest in roles}
@@ -114,147 +114,19 @@ def _sumset_layout(coeffs, distinct):
 
 
 class Sieve:
-    """Greedy scan state: the terms so far, the frontier (the highest integer
-    decided) and what forbids the candidates above it.
+    """Greedy scan state from the empty prefix: the terms so far, the
+    frontier (the highest integer decided) and sumset bitsets over the
+    terms, which cost a fixed number of big-int shifts per accepted term.
 
     A candidate n is forbidden when sigma*n = d*x_m - (sum of rest slots)
     for some role (sigma, rest) and terms x_m and rest values (pairwise
-    distinct under the distinct rule).  ``Sieve(seq)`` picks the state from
-    its input: an empty prefix gets sumset bitsets (``_SumsetSieve``), which
-    cost a fixed number of big-int shifts per accepted term; a non-empty
-    one, such as a prefix read from a cache, gets a window of flags filled
-    by enumerating solutions among its terms (``_WindowSieve``), because
-    building the bitsets would cost at least one big-int shift per given
-    term.  Each state has its own ``advance(max_terms, max_value,
-    node_budget)``.  The node budget applies to each accepted-term update
-    and to each search for the next term; an accepted term is in the prefix
-    before its update is spent.
-    """
-
-    def __new__(cls, seq: GreedySequence):
-        if cls is Sieve:
-            cls = _WindowSieve if seq.terms else _SumsetSieve
-        return super().__new__(cls)
-
-    def __init__(self, seq: GreedySequence):
-        self.coefficients = seq.coefficients
-        self.rule = seq.rule
-        self.terms = list(seq.terms)
-        self.frontier = seq.frontier
-        self.lines = seq.lines  # terms are only appended, so these stay a prefix's
-        self.distinct = seq.rule is AvoidanceRule.DISTINCT
-
-    def sequence(self) -> GreedySequence:
-        return GreedySequence(self.coefficients, self.rule, tuple(self.terms), self.frontier, self.lines)
-
-
-class _WindowSieve(Sieve):
-    """For a window of candidates above the frontier, which ones a solution
-    among the terms forbids.
-
-    A refill enumerates every solution whose n lands in the new window;
-    accepting a term t adds only the solutions that use t.  A node is one
-    enumeration step (a value tried in a slot, or one value of a last-slot
-    range); a refill is the search for the next term.
-    """
-
-    def __init__(self, seq: GreedySequence):
-        super().__init__(seq)
-        d = seq.coefficients.weight
-        roles = _open_roles(seq.coefficients.coeffs, self.distinct)
-        # Slots after sigma: the averaged value first, with coefficient -d.
-        self.role_slots = [(sigma, (-d,) + rest) for sigma, rest in roles]
-        # Solutions that use a new term t in a left-hand slot of coefficient c:
-        # (sigma, c, the other slots).
-        self.uses = sorted({
-            (sigma, c, (-d,) + other) for sigma, rest in roles for c, other in _splits(rest, True)
-        })
-        self.lo = self.hi = seq.frontier + 1  # empty window: the first step refills
-        self.width = WINDOW_START
-        self.blocked = bytearray()
-
-    def advance(self, max_terms=None, max_value=None, node_budget=None) -> GreedySequence:
-        """Scan on until max_terms terms or frontier max_value, whichever comes first."""
-        terms = self.terms
-        try:
-            while max_terms is None or len(terms) < max_terms:
-                if max_value is not None and self.frontier >= max_value:
-                    break
-                n = self._next(max_value, node_budget)
-                if n is None:
-                    break
-                terms.append(n)
-                self.frontier = n
-                self._accept(n, node_budget)
-        except BudgetExhausted as exc:
-            self.hi = self.frontier + 1  # the window may be half marked: refill on resuming
-            raise BudgetExhausted(exc.nodes, self.sequence(), self.frontier + 1) from None
-        return self.sequence()
-
-    def _next(self, max_value, node_budget):
-        """The least admissible value above the frontier; or None, with the
-        frontier moved to max_value, when there is none up to it."""
-        while True:
-            if self.frontier + 1 >= self.hi:
-                self._refill(max_value, _Budget(node_budget))
-            end = self.hi if max_value is None else min(self.hi, max_value + 1)
-            pos = self.blocked.find(0, self.frontier + 1 - self.lo, end - self.lo)
-            if pos >= 0:
-                return self.lo + pos
-            self.frontier = end - 1
-            if max_value is not None and self.frontier >= max_value:
-                return None
-
-    def _refill(self, max_value, budget):
-        lo = self.frontier + 1
-        hi = lo + self.width
-        if max_value is not None and hi > max_value + 1:
-            hi = max_value + 1
-        self.width = min(2 * self.width, WINDOW_MAX)
-        self.lo, self.hi = lo, hi
-        self.blocked = bytearray(hi - lo)
-        for sigma, slots in self.role_slots:
-            self._mark(sigma, slots, 0, set(), budget)
-
-    def _accept(self, t, node_budget):
-        """Add the solutions that use the new term t."""
-        budget = _Budget(node_budget)
-        d = self.coefficients.weight
-        for sigma, slots in self.role_slots:  # t as the averaged value
-            self._mark(sigma, slots[1:], -d * t, {t}, budget)
-        for sigma, c, slots in self.uses:  # t in a left-hand slot
-            self._mark(sigma, slots, c * t, {t}, budget)
-
-    def _mark(self, sigma, slots, base, used, budget):
-        """Flag every n above the frontier in the window with
-        sigma*n + base + (sum over slots of coefficient times term) = 0."""
-        lo = self.lo
-        c = slots[-1]
-        blocked = self.blocked
-        for acc, _, last in _iter_assignments(
-            slots, -sigma * (self.hi - 1) - base, -sigma * (self.frontier + 1) - base,
-            self.terms, used, self.distinct, budget,
-        ):
-            top = -base - acc - sigma * lo  # sigma*(n - lo) for a last value of 0
-            if sigma == 1:
-                for v in last:
-                    blocked[top - c * v] = 1
-            else:
-                for v in last:
-                    i, r = divmod(top - c * v, sigma)
-                    if not r:
-                        blocked[i] = 1
-
-
-class _SumsetSieve(Sieve):
-    """Sumset bitsets over the terms, for a scan from an empty prefix.
-
-    For each sub-multiset M of a role's rest slots, ``sums[M]`` holds the
-    values s of (sum over M's slots of coefficient times term), each stored
-    reversed as bit ``top - s``, and ``gaps[M]`` holds the values d*x - s
-    for a further term x; under the distinct rule the terms in one value
-    are pairwise distinct.  A candidate n is forbidden when sigma*n is in
-    gaps[rest] for a role (sigma, rest).
+    distinct under the distinct rule).  For each sub-multiset M of a role's
+    rest slots, ``sums[M]`` holds the values s of (sum over M's slots of
+    coefficient times term), each stored reversed as bit ``top - s``, and
+    ``gaps[M]`` holds the values d*x - s for a further term x; under the
+    distinct rule the terms in one value are pairwise distinct.  A
+    candidate n is forbidden when sigma*n is in gaps[rest] for a role
+    (sigma, rest).
 
     An accepted term t exceeds every earlier term, so the assignments it
     adds put t in a set B of M's slots (one slot under the distinct rule,
@@ -283,18 +155,24 @@ class _SumsetSieve(Sieve):
     frontier + 1, found without a sign as (x ^ (x + 1)).bit_length() - 1,
     and set when a sigma > 1 role forbids the value.
 
-    A node is one big-int operation: a shift-or of the update's plan (a
-    dead gap shift left out still counts as one, so node counts do not
-    depend on it) or an OR into the sigma = 1 roles' gaps, a lookup of the
-    next value those roles leave open, or one bit test against a sigma > 1
-    role.  An update's node count is known before it starts and is spent
-    first, so an update the budget refuses leaves the bitsets as they were,
-    and the next ``advance`` applies it before it searches.
+    The node budget applies to each accepted-term update and to each search
+    for the next term; an accepted term is in the prefix before its update
+    is spent.  A node is one big-int operation: a shift-or of the update's
+    plan (a dead gap shift left out still counts as one, so node counts do
+    not depend on it) or an OR into the sigma = 1 roles' gaps, a lookup of
+    the next value those roles leave open, or one bit test against a
+    sigma > 1 role.  An update's node count is known before it starts and is
+    spent first, so an update the budget refuses leaves the bitsets as they
+    were, and the next ``advance`` applies it before it searches.
     """
 
-    def __init__(self, seq: GreedySequence):
-        super().__init__(seq)
-        self.layout = _sumset_layout(seq.coefficients.coeffs, self.distinct)
+    def __init__(self, coefficients: CoefficientTuple, rule: AvoidanceRule):
+        self.coefficients = coefficients
+        self.rule = rule
+        self.distinct = rule is AvoidanceRule.DISTINCT
+        self.layout = _sumset_layout(coefficients.coeffs, self.distinct)
+        self.terms = []
+        self.frontier = -1
         self.top = 0
         self.sums = [1] + [0] * (self.layout.states - 1)  # state 0 is the empty M: the sum 0
         self.gaps = [0] * self.layout.states
@@ -386,6 +264,94 @@ class _SumsetSieve(Sieve):
             raise BudgetExhausted(spent, self.sequence(), frontier + 1)
         return self.sequence()
 
+    def sequence(self) -> GreedySequence:
+        return GreedySequence(self.coefficients, self.rule, tuple(self.terms), self.frontier)
+
+
+def _extend_window(seq: GreedySequence, max_terms, max_value, node_budget) -> GreedySequence:
+    """Scan on from the non-empty prefix seq until max_terms terms or
+    frontier max_value, whichever comes first, with a window of flags for
+    the candidates above the frontier: which ones a solution among the
+    terms forbids.
+
+    A prefix such as one read from a cache gets no sumset bitsets, because
+    building them would cost at least one big-int shift per given term.  A
+    refill enumerates every solution whose n lands in the new window, which
+    starts WINDOW_START wide, doubles at each refill up to WINDOW_MAX and
+    ends at max_value; accepting a term t adds only the solutions that use
+    t.  A node is one enumeration step (a value tried in a slot, or one
+    value of a last-slot range); the node budget applies to each refill,
+    which is the search for the next term, and to each accepted term's
+    marking, which starts once the term is in the prefix.  Nothing is kept
+    between calls: a call the budget stops resumes by extending its partial
+    prefix.
+    """
+    coefficients, rule = seq.coefficients, seq.rule
+    d = coefficients.weight
+    distinct = rule is AvoidanceRule.DISTINCT
+    roles = _open_roles(coefficients.coeffs, distinct)
+    # Slots after sigma: the averaged value first, with coefficient -d.
+    role_slots = [(sigma, (-d,) + rest) for sigma, rest in roles]
+    # Solutions that use a new term t in a left-hand slot of coefficient c:
+    # (sigma, c, the other slots).
+    uses = sorted({(sigma, c, (-d,) + other) for sigma, rest in roles for c, other in _splits(rest, True)})
+    terms = list(seq.terms)
+    frontier = seq.frontier
+    lo = hi = frontier + 1  # an empty window, which the first search refills
+    width = WINDOW_START
+    blocked = bytearray()
+
+    def mark(sigma, slots, base, used, budget):
+        """Flag every n above the frontier in the window with
+        sigma*n + base + (sum over slots of coefficient times term) = 0."""
+        c = slots[-1]
+        for acc, _, last in _iter_assignments(
+            slots, -sigma * (hi - 1) - base, -sigma * (frontier + 1) - base, terms, used, distinct, budget,
+        ):
+            top = -base - acc - sigma * lo  # sigma*(n - lo) for a last value of 0
+            if sigma == 1:
+                for v in last:
+                    blocked[top - c * v] = 1
+            else:
+                for v in last:
+                    i, r = divmod(top - c * v, sigma)
+                    if not r:
+                        blocked[i] = 1
+
+    try:
+        while max_terms is None or len(terms) < max_terms:
+            if max_value is not None and frontier >= max_value:
+                break
+            # The least admissible value above the frontier: while the window
+            # holds none, move the frontier to its end and refill it, unless
+            # that end is max_value.
+            while (pos := blocked.find(0, frontier + 1 - lo)) < 0:
+                frontier = hi - 1
+                if max_value is not None and frontier >= max_value:
+                    break
+                lo = frontier + 1
+                hi = lo + width if max_value is None else min(lo + width, max_value + 1)
+                width = min(2 * width, WINDOW_MAX)
+                blocked = bytearray(hi - lo)
+                budget = _Budget(node_budget)
+                for sigma, slots in role_slots:
+                    mark(sigma, slots, 0, set(), budget)
+            if pos < 0:
+                break
+            t = lo + pos
+            terms.append(t)
+            frontier = t
+            # Add the solutions that use the new term t.
+            budget = _Budget(node_budget)
+            for sigma, slots in role_slots:  # t as the averaged value
+                mark(sigma, slots[1:], -d * t, {t}, budget)
+            for sigma, c, slots in uses:  # t in a left-hand slot
+                mark(sigma, slots, c * t, {t}, budget)
+    except BudgetExhausted as exc:
+        partial = GreedySequence(coefficients, rule, tuple(terms), frontier, seq.lines)
+        raise BudgetExhausted(exc.nodes, partial, frontier + 1) from None
+    return GreedySequence(coefficients, rule, tuple(terms), frontier, seq.lines)
+
 
 def _prefix_within(seq: GreedySequence, max_terms, max_value):
     """What generate(max_terms, max_value) returns, when seq already covers it; else None."""
@@ -411,7 +377,9 @@ def _continue(seq: GreedySequence, max_terms, max_value, node_budget) -> GreedyS
     done = _prefix_within(seq, max_terms, max_value)
     if done is not None:
         return done
-    return Sieve(seq).advance(max_terms, max_value, node_budget)
+    if seq.terms:
+        return _extend_window(seq, max_terms, max_value, node_budget)
+    return Sieve(seq.coefficients, seq.rule).advance(max_terms, max_value, node_budget)
 
 
 def generate(coefficients, rule, max_terms=None, max_value=None, node_budget=None) -> GreedySequence:
@@ -426,12 +394,12 @@ def extend(seq: GreedySequence, max_terms=None, max_value=None, node_budget=None
 
 def skip_witness(seq: GreedySequence, value: int, node_budget=None):
     """Recompute the rejection witness for a skipped integer at or below the frontier."""
-    if value in set(seq.terms):
+    i = bisect_right(seq.terms, value)
+    if i and seq.terms[i - 1] == value:
         raise ValueError(f"{value} is a term, not a skip")
     if value > seq.frontier:
         raise ValueError(f"{value} lies beyond the frontier {seq.frontier}, so it is not decided yet")
-    ground = seq.terms[:bisect_right(seq.terms, value)]
-    return creates_solution(ground, value, seq.coefficients, seq.rule, node_budget)
+    return creates_solution(seq.terms[:i], value, seq.coefficients, seq.rule, node_budget)
 
 
 # ---------------------------------------------------------------------------

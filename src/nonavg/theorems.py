@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .closedform import ClosedForm
 from .errors import BudgetExhausted, UnsupportedM
-from .greedy import GreedySequence, Sieve, generate
+from .greedy import Sieve, generate
 from .solver import AvoidanceRule, node_cap, relaxed_representation
 from .tuples import CoefficientTuple, coefficient_groups, require_valid
 
@@ -375,7 +375,7 @@ def discover_closed_form(
     (ClosedForm, ConditionReport) or None when the caps are reached.
     """
     require_valid(coefficients)
-    sieve = Sieve(GreedySequence(coefficients, AvoidanceRule.DISTINCT, (), -1))
+    sieve = Sieve(coefficients, AvoidanceRule.DISTINCT)
     terms = ()
     for z in range(max_residues):
         if len(terms) < z + 2:

@@ -24,7 +24,7 @@ from .errors import InvalidTuple
 VALUE_LIMIT = 1 << 63
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class CoefficientTuple:
     """Immutable nondecreasing tuple of positive coefficients.
 

@@ -141,7 +141,7 @@ class TestClosedFormType:
         assert CF12.text() == "c=12 base=4 R=0,1,2,3,4"
 
     def test_fields_cannot_be_assigned(self):
-        for name in ("base", "scale", "residues", "coefficients"):
+        for name in ("base", "scale", "residues", "coefficients", "other"):
             with pytest.raises(AttributeError):
                 setattr(CF12, name, 5)
         assert CF12.text() == "c=12 base=4 R=0,1,2,3,4" and CF12.coefficients is E4

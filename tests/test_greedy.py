@@ -70,22 +70,34 @@ class TestGenerate:
     @pytest.mark.parametrize("rule", [D, N])
     def test_sieve_resumes_after_budget_exhaustion(self, rule):
         """However often a small budget stops a sieve, in an update or in a
-        search, its next uncapped advance returns the fresh result."""
+        search, its next uncapped advance returns the fresh result; and
+        however often it stops the window state, which keeps nothing between
+        calls, extending the partial prefix does."""
         for coeffs, budget in [((1, 1), 3), ((1, 1), 6), ((1, 1, 2), 8), ((1, 1, 2), 12), ((1, 1, 1, 2), 30)]:
             e = CoefficientTuple(coeffs)
             want = generate(e, rule, max_terms=30)
-            for start in ((), (0,)):  # the bitset state and the window state
-                sieve = Sieve(GreedySequence(e, rule, start, len(start) - 1))
-                stops = 0
-                for _ in range(5):
-                    try:
-                        sieve.advance(max_terms=30, node_budget=budget)
-                    except BudgetExhausted as exc:
-                        stops += 1
-                        assert exc.partial == sieve.sequence()
-                        assert exc.partial.terms == want.terms[:len(exc.partial.terms)]
-                assert stops, (coeffs, budget, start)
-                assert sieve.advance(max_terms=30) == want
+            sieve = Sieve(e, rule)
+            stops = 0
+            for _ in range(5):
+                try:
+                    sieve.advance(max_terms=30, node_budget=budget)
+                except BudgetExhausted as exc:
+                    stops += 1
+                    assert exc.partial == sieve.sequence()
+                    assert exc.partial.terms == want.terms[:len(exc.partial.terms)]
+            assert stops, (coeffs, budget)
+            assert sieve.advance(max_terms=30) == want
+            seq = GreedySequence(e, rule, (0,), 0)
+            stops = 0
+            for _ in range(5):
+                try:
+                    seq = extend(seq, max_terms=30, node_budget=budget)
+                except BudgetExhausted as exc:
+                    stops += 1
+                    assert exc.partial == generate(e, rule, max_value=exc.partial.frontier)
+                    seq = exc.partial
+            assert stops, (coeffs, budget)
+            assert extend(seq, max_terms=30) == want
 
 
 # Valid tuples for the budget digest: catalog rows from m = 3 to m = 6.
@@ -292,7 +304,7 @@ def test_one_sieve_advanced_in_steps(rule):
     matches fresh generation, also when a value cap falls inside the window
     of an earlier call."""
     e = CoefficientTuple((1, 1, 2))
-    sieve = Sieve(GreedySequence(e, rule, (), -1))
+    sieve = Sieve(e, rule)
     for caps in [(3, None), (None, 20), (None, 90), (17, None), (20, None)]:
         assert sieve.advance(*caps) == generate(e, rule, *caps)
 
@@ -312,7 +324,7 @@ def test_sumset_sieves_share_a_frozen_layout(rule):
     advancing one, through a refused update and a resume, leaves the other's
     bitsets and next term as they were."""
     e = CoefficientTuple((1, 1, 2))
-    a, b = (Sieve(GreedySequence(e, rule, (), -1)) for _ in range(2))
+    a, b = (Sieve(e, rule) for _ in range(2))
     assert a.layout is b.layout
     assert _frozen(a.layout)
     b.advance(max_terms=3)
@@ -335,13 +347,13 @@ def test_update_refused_where_the_bitsets_grow(coeffs, rule):
     e = CoefficientTuple(coeffs)
 
     def fresh(max_terms):
-        sieve = Sieve(GreedySequence(e, rule, (), -1))
+        sieve = Sieve(e, rule)
         sieve.advance(max_terms=max_terms)
         return sieve
 
     layout = fresh(0).layout
     for budget in range(layout.update_nodes, layout.update_nodes + layout.states):
-        sieve = Sieve(GreedySequence(e, rule, (), -1))
+        sieve = Sieve(e, rule)
         with pytest.raises(BudgetExhausted) as info:
             sieve.advance(max_terms=20, node_budget=budget)
         assert info.value.nodes == layout.update_nodes + layout.states
@@ -367,7 +379,7 @@ def test_dead_gap_shifts_change_no_bit_above_the_frontier(coeffs, max_terms, rul
     applies every part."""
     e = CoefficientTuple(coeffs)
     d, distinct = e.weight, rule is D
-    sieve = Sieve(GreedySequence(e, rule, (), -1))
+    sieve = Sieve(e, rule)
     program = sieve.layout.program
     for _, sum_parts, gap_parts, _ in program:
         assert gap_parts == tuple(p for p in sum_parts if p[0] < d - 1)

@@ -63,7 +63,7 @@ class TestConstruction:
 
     def test_fields_cannot_be_assigned(self):
         e = CoefficientTuple((1, 1, 2))
-        for name in ("coeffs", "weight"):
+        for name in ("coeffs", "weight", "other"):
             with pytest.raises(AttributeError):
                 setattr(e, name, (1, 1))
         assert e.coeffs == (1, 1, 2) and e.weight == 4
