@@ -13,9 +13,10 @@ import functools
 import json
 import os
 import sys
-from decimal import Decimal, InvalidOperation
 
-from . import asymptotics, closedform, greedy, theorems
+# The discovery, verification and bounds modules load inside their runners,
+# so a generate call imports none of them.
+from . import greedy
 from .errors import BudgetExhausted, InvalidTuple
 from .solver import AvoidanceRule, node_cap
 from .tuples import CoefficientTuple, is_valid
@@ -90,6 +91,8 @@ def _parse_n(text: str) -> int:
         return int(text)
     except ValueError:
         pass
+    from decimal import Decimal, InvalidOperation
+
     try:
         value = Decimal(text)
     except InvalidOperation:
@@ -171,6 +174,8 @@ def _read_cache(path, coefficients, rule):
 
 
 def _run_discover(args, out) -> int:
+    from . import theorems
+
     coefficients = CoefficientTuple.from_text(args.tuple_text)
     if not is_valid(coefficients):
         print(f"discover: {coefficients.text()} is not a valid tuple", file=sys.stderr)
@@ -206,6 +211,8 @@ def _check_line(out, name, passed) -> bool:
 
 
 def _run_verify(args, out) -> int:
+    from . import closedform, theorems
+
     budget = _node_budget(args)
     all_ok = True
     if args.target == "table1":
@@ -265,6 +272,8 @@ def _run_verify(args, out) -> int:
 
 
 def _run_bounds(args, out) -> int:
+    from . import asymptotics, closedform
+
     if args.section4:
         if args.tuple_text is not None or args.cf is not None:
             print("bounds: --section4 takes no --tuple or --cf", file=sys.stderr)

@@ -12,6 +12,7 @@ with the solver module or the sieve.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from bisect import bisect_right
 from contextlib import suppress
@@ -369,7 +370,19 @@ def _prefix_within(seq: GreedySequence, max_terms, max_value):
     return GreedySequence(seq.coefficients, seq.rule, terms, frontier, lines)
 
 
+def _cap(name, value):
+    """value as an int, or None; a float cap raises TypeError rather than
+    becoming a frontier that no cache file can hold."""
+    if value is None:
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _continue(seq: GreedySequence, max_terms, max_value, node_budget) -> GreedySequence:
+    max_terms, max_value = _cap("max_terms", max_terms), _cap("max_value", max_value)
     if max_terms is None and max_value is None:
         raise ValueError("need max_terms or max_value")
     if max_terms is not None and max_terms <= 0:

@@ -55,6 +55,25 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(CoefficientTuple((1, 1)), D)
 
+    @pytest.mark.parametrize("rule", [D, N])
+    @pytest.mark.parametrize(
+        "caps, message",
+        [
+            ({"max_value": 2.5}, "max_value must be an integer, got 2.5"),
+            ({"max_terms": 3.0}, "max_terms must be an integer, got 3.0"),
+            ({"max_terms": 0, "max_value": 9.0}, "max_value must be an integer, got 9.0"),
+        ],
+    )
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_float_cap_raises(self, rule, caps, message, resume):
+        """A float cap is a TypeError, not a frontier of 2.5 that no cache file can hold."""
+        e = CoefficientTuple((1, 1))
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            if resume:
+                extend(generate(e, rule, max_terms=2), **caps)
+            else:
+                generate(e, rule, **caps)
+
     def test_budget_exhaustion_carries_partial(self):
         e = CoefficientTuple((1, 1))
         for rule in (D, N):
