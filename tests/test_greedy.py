@@ -230,6 +230,19 @@ class TestExtend:
         assert extend(long, max_terms=30, max_value=50) == generate(e, D, max_terms=30, max_value=50)
         assert extend(long, max_terms=0) == generate(e, D, max_terms=0)
 
+    @pytest.mark.parametrize(
+        "coeffs, rule",
+        [((1, 1), D), ((1, 1, 2), D), ((1, 1, 1, 1), D), ((1, 1, 1), N), ((1, 1, 2), N)],
+    )
+    def test_one_value_windows_equal_generate(self, coeffs, rule):
+        """Extending by one value at a time, so every window the window state
+        opens holds one candidate, gives what one generate call gives."""
+        e = CoefficientTuple(coeffs)
+        seq = generate(e, rule, max_terms=1)
+        while seq.frontier < 150:
+            seq = extend(seq, max_value=seq.frontier + 1)
+        assert seq == generate(e, rule, max_value=150)
+
 
 class TestNaive:
     def test_example_pair(self):
