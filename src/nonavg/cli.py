@@ -111,7 +111,10 @@ def _store_and_emit(seq, cached, args, out):
     seq = greedy.rendered(seq)
     # A cache never shrinks: store seq only past the frontier it already reaches.
     if args.cache and (cached is None or seq.frontier > cached.frontier):
-        greedy.write_cache(args.cache, seq)
+        try:
+            greedy.write_cache(args.cache, seq)
+        except OSError as exc:  # its text names the temporary file, not the cache
+            raise ValueError(f"cannot write cache {args.cache}: {exc.strerror}") from None
     lines = seq.lines[1]
     if args.format == "plain":
         out.write(lines)

@@ -100,13 +100,13 @@ def _iter_assignments(slots, lo_sum, hi_sum, pool, used, distinct, budget):
     ``used`` and each other.  Enumeration order is ascending at every level
     but one: a negative slot before the last (the averaged value, written as
     a slot of coefficient -d) runs descending, so the first tuple is the
-    canonical one.  A one-value target (lo_sum == hi_sum) yields groups of
-    one value.  A last slot left with at most one value looks it up by one
-    bisection of ``pool``.
+    canonical one.  The last slot takes the slice of ``pool`` between two
+    bisections of its range, whatever the range's width, and spends one node
+    per value in it, or one for an empty slice; so a one-value target
+    (lo_sum == hi_sum) yields groups of one value.
     """
     k = len(slots)
     pmin, pmax = pool[0], pool[-1]
-    ptop = len(pool) - 1  # a bisection bounded by it lands on a pool value
     sufmin = [0] * (k + 1)
     sufmax = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
@@ -126,15 +126,9 @@ def _iter_assignments(slots, lo_sum, hi_sum, pool, used, distinct, budget):
         if floor_v > v_lo:
             v_lo = floor_v
         if i == k - 1:
-            if v_lo >= v_hi:  # at most one value: one lookup
-                budget.spend()
-                found = v_lo == v_hi and pool[bisect_left(pool, v_lo, 0, ptop)] == v_lo
-                if found and not (distinct and v_lo in used):
-                    yield acc, tuple(out), [v_lo]
-                return
             last = pool[bisect_left(pool, v_lo):bisect_right(pool, v_hi)]
             budget.spend(len(last) or 1)
-            if distinct:
+            if distinct and last:
                 last = [v for v in last if v not in used]
             if last:
                 yield acc, tuple(out), last

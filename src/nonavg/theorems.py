@@ -190,12 +190,13 @@ def _slack_plans(coeffs_at, d, residues):
     per sum, so only an inside key (sum at most d-2) gets its full table; the
     one key that is never inside, all of the positions, gets
     ``_first_assignments``.  A plan walks the side with fewer sums and looks
-    the other up, fixed per plan.  With sign 1 it walks the inside sums
-    upward and looks up outside sums.  With sign -1 it walks the negated
-    outside sums upward, the outside sums downward, and looks up negated
-    inside sums.  Either way, for a target sum ``needed`` the walk value w
-    pairs with sign*needed - w, and the inside sums come upward, so the
-    first pair found has the least inside sum, and ``reorder`` puts
+    the other up, fixed per plan, so an empty table gives an empty walk and
+    no witness.  With sign 1 it walks the inside sums upward and looks up
+    outside sums.  With sign -1 it walks the negated outside sums upward,
+    the outside sums downward, and looks up negated inside sums.  Either
+    way, for a target sum ``needed`` the walk value w pairs with
+    sign*needed - w, and the inside sums come upward, so the first pair
+    found has the least inside sum, and ``reorder`` puts
     inside-then-outside values back in position order.  Tables depend only
     on the coefficients of their positions, so equal ones are built once.
     """
@@ -218,9 +219,7 @@ def _slack_plans(coeffs_at, d, residues):
                 continue
             outside = tuple(i for i in range(npos) if i not in inside)
             in_table, out_table = table(key), table(tuple(coeffs_at[i] for i in outside))
-            if not out_table:  # no witness without an outside assignment
-                sign, walk, look = 1, [], ()
-            elif len(out_table) < len(in_table):
+            if len(out_table) < len(in_table):
                 sign, walk, look = -1, sorted(map(neg, out_table)), set(map(neg, in_table))
             else:
                 sign, walk, look = 1, sorted(in_table), out_table

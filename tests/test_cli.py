@@ -260,6 +260,30 @@ class TestGenerate:
         _, fresh, _ = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "17")
         assert run(capsys, "generate", "--tuple", "1,1", "--max-terms", "17", "--cache", str(cache)) == (0, fresh, "")
 
+    @pytest.mark.parametrize("budget, complete", [([], 0), (["--node-budget", "6"], 2)], ids=["complete", "budget"])
+    def test_a_cache_in_a_missing_directory_is_one_error_line(self, capsys, tmp_path, budget, complete):
+        """A failed write, also of the partial prefix a budget stop flushes,
+        names the cache path, not its temporary file, and prints no term."""
+        argv = ["generate", "--tuple", "1,1", "--max-terms", "17", *budget]
+        assert run(capsys, *argv)[0] == complete
+        cache = str(tmp_path / "missing" / "s3.cache")
+        code, out, err = run(capsys, *argv, "--cache", cache)
+        assert (code, out, err) == (1, "", f"nonavg: cannot write cache {cache}: No such file or directory\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_a_cache_path_that_is_a_directory_is_one_error_line(self, capsys, tmp_path):
+        """The read of the directory is reported and skipped as for any
+        unreadable cache; the write fails in one line and leaves no
+        temporary file beside the directory or in it."""
+        cache = tmp_path / "s3.cache"
+        cache.mkdir()
+        code, out, err = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "5", "--cache", str(cache))
+        read, write = err.splitlines()
+        assert (code, out) == (1, "")
+        assert read.startswith(f"generate: ignoring cache {cache}: ")
+        assert write == f"nonavg: cannot write cache {cache}: Is a directory"
+        assert os.listdir(tmp_path) == ["s3.cache"] and os.listdir(cache) == []
+
     def test_malformed_budget_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("NONAVG_NODE_BUDGET", "lots")
         code, out, err = run(capsys, "generate", "--tuple", "1,1", "--max-terms", "3")
